@@ -1,6 +1,6 @@
 # Convenience targets; `make verify` is the tier-1 gate.
 
-.PHONY: all build test verify fmt bench bench-alloc bench-fleet bench-age-parallel bench-backend bench-scrub figures crash-matrix crash-explore metrics-smoke freespace-smoke fleet-smoke backend-smoke scrub-smoke chaos-soak clean
+.PHONY: all build test verify fmt bench bench-alloc bench-fleet bench-backend bench-scrub figures crash-matrix crash-explore metrics-smoke freespace-smoke fleet-smoke backend-smoke scrub-smoke chaos-soak clean
 
 all: build
 
@@ -26,7 +26,6 @@ verify:
 	$(MAKE) scrub-smoke
 	$(MAKE) bench-alloc
 	$(MAKE) bench-fleet
-	$(MAKE) bench-age-parallel
 	$(MAKE) bench-backend
 	$(MAKE) bench-scrub
 
@@ -103,15 +102,6 @@ fleet-smoke:
 bench-fleet:
 	dune exec bench/main.exe -- fleet --no-csv
 
-# the committed intra-volume parallel aging benchmark: days aged per
-# second at --jobs 1/2/4 on one paper-geometry volume. Rewrites
-# BENCH_age_parallel.json, asserts the aged image digest (and scores
-# and allocation totals) are identical at every concurrency level, and
-# fails if the best throughput regresses >30% against the committed
-# baseline (FFS_BENCH_AGE_SKIP_BASELINE=1 to re-baseline)
-bench-age-parallel:
-	dune exec bench/main.exe -- age --no-csv
-
 # storage-backend smoke: the same small aging run on the in-heap store
 # and the mmap'd file store must produce bit-identical images
 # (ffs_inspect --digest on both), and the full fault->repair pipeline
@@ -132,10 +122,10 @@ backend-smoke:
 	@rm -f /tmp/ffs_backend_smoke_mmap.img /tmp/ffs_backend_smoke_heap.img
 
 # self-healing storage smoke: the resilient (checksummed) store must be
-# bit-identical to the raw store when no faults are injected (jobs 1
-# and 2), and a checkpointed aging run with seeded device faults killed
-# with SIGKILL mid-flight must resume to an image a zero-fault
-# no-repair fsck accepts — scrub-and-repair heals everything the
+# bit-identical to the raw store when no faults are injected, and a
+# checkpointed aging run with seeded device faults killed with SIGKILL
+# mid-flight must resume to an image a zero-fault no-repair fsck
+# accepts — scrub-and-repair heals everything the
 # injected transients, latent bad chunks, bit rot and torn syncs broke
 scrub-smoke:
 	@dune build bin/ffs_age.exe bin/ffs_fsck.exe bin/ffs_inspect.exe

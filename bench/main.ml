@@ -8,16 +8,15 @@
    Usage:
      main.exe [--days N] [--seed N] [--jobs N] [--csv-dir DIR|--no-csv]
               [--alloc-ops N] [--alloc-out PATH] [--fleet-out PATH]
-              [--age-out PATH] [--backend-out PATH] [--scrub-out PATH]
-              [EXPERIMENT ...]
+              [--backend-out PATH] [--scrub-out PATH] [EXPERIMENT ...]
    where EXPERIMENT is one of: table1 fig1 fig2 fig3 fig4 fig5 fig6
-   table2 checks ablations lfs micro alloc fleet age backend scrub. The
+   table2 checks ablations lfs micro alloc fleet backend scrub. The
    default runs everything at the paper's full scale (300 days; several
    minutes). *)
 
 let experiments =
   [ "table1"; "fig1"; "fig2"; "fig3"; "fig4"; "fig5"; "fig6"; "table2"; "checks";
-    "ablations"; "lfs"; "micro"; "alloc"; "fleet"; "age"; "backend"; "scrub" ]
+    "ablations"; "lfs"; "micro"; "alloc"; "fleet"; "backend"; "scrub" ]
 
 (* --- allocation throughput (BENCH_alloc.json) ------------------------------ *)
 
@@ -90,43 +89,6 @@ let run_fleet_bench ~out =
           false)
   | Some _ ->
       Fmt.pr "baseline gate skipped (FFS_BENCH_FLEET_SKIP_BASELINE=1)@.";
-      true
-  | None -> true
-
-(* --- intra-volume parallel aging (BENCH_age_parallel.json) ----------------- *)
-
-(* simulated days aged per second at --jobs 1/2/4 on one paper-geometry
-   volume; the run itself asserts the aged image digest, final score and
-   allocation totals are identical at every concurrency level. Same
-   baseline-gate shape as run_alloc. *)
-let run_age_bench ~out =
-  print_endline "\n=== Intra-volume parallel aging: days/sec by jobs ===\n";
-  let baseline =
-    if Sys.file_exists out then
-      let contents = In_channel.with_open_text out In_channel.input_all in
-      match Obs.Json.of_string contents with
-      | Ok j -> Some j
-      | Error msg ->
-          Fmt.epr "[bench] ignoring unreadable baseline %s: %s@." out msg;
-          None
-    else None
-  in
-  let r = Benchlib.Age_bench.run () in
-  Fmt.pr "%a@." Benchlib.Age_bench.pp r;
-  Out_channel.with_open_text out (fun oc ->
-      Out_channel.output_string oc (Obs.Json.to_string (Benchlib.Age_bench.to_json r));
-      Out_channel.output_char oc '\n');
-  Fmt.pr "wrote %s@." out;
-  let skip = Sys.getenv_opt "FFS_BENCH_AGE_SKIP_BASELINE" = Some "1" in
-  match baseline with
-  | Some b when not skip -> (
-      match Benchlib.Age_bench.gate ~baseline:b r with
-      | Ok () -> true
-      | Error msg ->
-          Fmt.epr "[bench] %s@." msg;
-          false)
-  | Some _ ->
-      Fmt.pr "baseline gate skipped (FFS_BENCH_AGE_SKIP_BASELINE=1)@.";
       true
   | None -> true
 
@@ -343,7 +305,6 @@ let () =
   let alloc_ops = ref Benchlib.Alloc_bench.default_ops in
   let alloc_out = ref "BENCH_alloc.json" in
   let fleet_out = ref "BENCH_fleet.json" in
-  let age_out = ref "BENCH_age_parallel.json" in
   let backend_out = ref "BENCH_backend.json" in
   let scrub_out = ref "BENCH_scrub.json" in
   let picked = ref [] in
@@ -372,9 +333,6 @@ let () =
         parse rest
     | "--fleet-out" :: v :: rest ->
         fleet_out := v;
-        parse rest
-    | "--age-out" :: v :: rest ->
-        age_out := v;
         parse rest
     | "--backend-out" :: v :: rest ->
         backend_out := v;
@@ -433,11 +391,10 @@ let () =
   if wanted "micro" then run_micro ();
   let alloc_ok = if wanted "alloc" then run_alloc ~ops:!alloc_ops ~out:!alloc_out else true in
   let fleet_ok = if wanted "fleet" then run_fleet_bench ~out:!fleet_out else true in
-  let age_ok = if wanted "age" then run_age_bench ~out:!age_out else true in
   let backend_ok =
     if wanted "backend" then run_backend_bench ~out:!backend_out else true
   in
   let scrub_ok = if wanted "scrub" then run_scrub_bench ~out:!scrub_out else true in
   if not (Par.Timings.is_empty timings) then
     Fmt.pr "@.=== Task timings ===@.@.%s@." (Par.Timings.report timings);
-  if not (alloc_ok && fleet_ok && age_ok && backend_ok && scrub_ok) then exit 1
+  if not (alloc_ok && fleet_ok && backend_ok && scrub_ok) then exit 1

@@ -116,35 +116,34 @@ let replay_checkpointed ~backend ~params ~days ~config ~quiet ~crashes ~fault_se
       exit 130
   | `Completed cr -> (cr.Aging.Replay.result, cr.Aging.Replay.recoveries)
 
-let run days seed nseeds jobs realloc policy alloc_policy backend store_faults
-    scrub_every kind profile_kind quiet params crashes fault_seed checkpoint_every
-    checkpoint_dir checkpoint_keep checkpoint_full_every resume trace metrics_out
-    image_out csv_out workload_in workload_out =
+let run days seed nseeds jobs realloc policy backend store_faults scrub_every kind
+    profile_kind quiet params crashes fault_seed checkpoint_every checkpoint_dir
+    checkpoint_keep checkpoint_full_every resume trace metrics_out image_out csv_out
+    workload_in workload_out =
   Common.obs_setup ~trace ~metrics_out;
   if nseeds > 1 then begin
+    let jobs = Option.value jobs ~default:(Par.Pool.default_jobs ()) in
     run_multi_seed ~days ~seed ~nseeds ~jobs ~quiet;
     Common.obs_finish ~quiet ~trace ~metrics_out
   end
   else begin
-  (* --policy resolves through the registry and wins over --realloc;
-     --realloc alone keeps working as an alias for --policy realloc *)
-  let config =
-    match alloc_policy with
-    | None -> Common.config_of ~realloc ~policy
-    | Some name -> (
-        match Ffs.Policy.find name with
-        | Some p -> Ffs.Policy.apply p (Common.config_of ~realloc ~policy)
-        | None ->
-            Fmt.epr "unknown policy %S (registered: %s)@." name
-              (String.concat ", " (Ffs.Policy.names ()));
-            exit 2)
-  in
-  let realloc = config.Ffs.Fs.realloc in
+  (* --jobs must never be a silent no-op: say why it is ignored *)
+  (match jobs with
+  | Some j when j > 1 ->
+      Fmt.epr "note: --jobs %d ignored — it fans out --seeds N; one volume ages serially@." j
+  | _ -> ());
+  let config = Common.config_of ~realloc ~policy in
   let ops =
     match workload_in with
-    | Some path ->
+    | Some path -> (
         Fmt.epr "loading workload from %s@." path;
-        Workload.Trace_file.load ~path
+        match Workload.Trace_file.load ~path with
+        | Ok ops -> ops
+        | Error e ->
+            (* a trace is not a file system: print Corrupt's message bare *)
+            let why = match e with Ffs.Error.Corrupt m -> m | e -> Ffs.Error.to_string e in
+            Fmt.epr "cannot load workload: %s@." why;
+            exit 2)
     | None -> Common.build_workload ~params ~days ~seed ~kind ~profile_kind
   in
   (match workload_out with
@@ -159,7 +158,7 @@ let run days seed nseeds jobs realloc policy alloc_policy backend store_faults
   in
   let backend = Common.resolve_backend ~backend ~store_faults ~fault_seed in
   (* with device faults the store heals via periodic scrubs, which only
-     the serial resumable engine can drive — default to a daily scrub *)
+     the resumable engine drives — default to a daily scrub *)
   let scrub_every =
     if scrub_every > 0 then scrub_every else if store_faults <> None then 1 else 0
   in
@@ -168,51 +167,13 @@ let run days seed nseeds jobs realloc policy alloc_policy backend store_faults
     || store_faults <> None || scrub_every > 0
   in
   let result, recoveries =
-    if checkpointing then begin
-      (* --jobs must never be a silent no-op: say why it is ignored *)
-      if jobs > 1 then
-        Fmt.epr "note: --jobs %d ignored — checkpointed replay is serial-only \
-                 (see the intra-volume section of the README)@." jobs;
+    if checkpointing then
       replay_checkpointed ~backend ~params ~days ~config ~quiet ~crashes ~fault_seed
         ~checkpoint_every ~checkpoint_dir ~checkpoint_keep ~checkpoint_full_every
         ~resume ~scrub_every ops
-    end
-    else if crashes > 0 then begin
-      if jobs > 1 then
-        Fmt.epr "note: --jobs %d ignored — crash injection is serial-only@." jobs;
+    else
       Common.replay_with_crashes ~backend ~params ~days ~config ~quiet ~crashes
         ~fault_seed ops
-    end
-    else begin
-      (* intra-volume parallel aging: per-cylinder-group batches on a
-         domain pool. The result is bit-identical at every jobs level
-         (including --jobs 1), so this one engine serves every no-crash
-         single-seed run and the output never depends on the machine's
-         core count. *)
-      if not quiet then begin
-        Fmt.epr "workload: %a@." Workload.Op.pp_stats (Workload.Op.stats ops);
-        Fmt.epr "intra-volume parallel replay: %d jobs over %d cylinder groups@."
-          jobs params.Ffs.Params.ncg
-      end;
-      let on_day_stats =
-        match trace with
-        | None -> fun (_ : Aging.Replay.day_stats) -> ()
-        | Some _ ->
-            (* the per-day contention summary promised by --trace *)
-            fun (ds : Aging.Replay.day_stats) ->
-              Fmt.epr "  day %3d: %4d ops in %2d batches, %3d deferred; locks: %a@."
-                (ds.Aging.Replay.day + 1) ds.Aging.Replay.day_ops
-                ds.Aging.Replay.batches ds.Aging.Replay.deferred Ffs.Locks.pp_stats
-                ds.Aging.Replay.lock_stats
-      in
-      let r =
-        Par.Pool.with_pool ~jobs (fun pool ->
-            Aging.Replay.run_parallel ~backend ~config
-              ~progress:(Common.progress_of ~days ~quiet)
-              ~on_day_stats ~pool ~params ~days ops)
-      in
-      (r, [])
-    end
   in
   let scores = result.Aging.Replay.daily_scores in
   Fmt.pr "allocator: %s@." (if realloc then "FFS + realloc" else "traditional FFS");
@@ -291,6 +252,14 @@ let cmd =
                    $(b,--seed)) through both allocators in parallel and report \
                    mean/stddev end-of-run layout scores instead of a single image.")
   in
+  let jobs =
+    Arg.(value & opt (some int) None
+         & info [ "j"; "jobs" ] ~docv:"N"
+             ~doc:"Age up to $(docv) of the $(b,--seeds) draws in parallel (worker \
+                   domains + the caller); results are bit-identical for every value. \
+                   One volume always ages serially, so without $(b,--seeds) this has \
+                   no effect. Defaults to the machine's recommended domain count.")
+  in
   let checkpoint_every =
     Arg.(value & opt int 0
          & info [ "checkpoint-every" ] ~docv:"DAYS"
@@ -317,13 +286,6 @@ let cmd =
                    carrying only the cylinder groups dirtied since the previous \
                    checkpoint ($(b,1) makes every checkpoint full).")
   in
-  let alloc_policy =
-    Arg.(value & opt (some string) None
-         & info [ "policy" ] ~docv:"NAME"
-             ~doc:"Allocation policy, resolved through the $(b,Ffs.Policy) registry \
-                   ($(b,traditional) or $(b,realloc) built in); overrides \
-                   $(b,--realloc).")
-  in
   let resume =
     Arg.(value & opt (some string) None
          & info [ "resume" ] ~docv:"DIR"
@@ -334,8 +296,8 @@ let cmd =
   in
   let term =
     Term.(
-      const run $ Common.days_term $ Common.seed_term $ seeds $ Common.jobs_term
-      $ Common.realloc_term $ Common.policy_term $ alloc_policy $ Common.backend_term
+      const run $ Common.days_term $ Common.seed_term $ seeds $ jobs
+      $ Common.realloc_term $ Common.policy_term $ Common.backend_term
       $ Common.store_faults_term $ Common.scrub_every_term
       $ Common.workload_kind_term $ Common.profile_kind_term $ Common.quiet_term
       $ Common.params_term $ Common.crashes_term $ Common.fault_seed_term

@@ -154,187 +154,6 @@ let finish e =
 
 let default_max_skip_fraction = 0.9
 
-(* --- intra-volume parallel replay ------------------------------------------ *)
-
-(* Per-day accounting of a parallel replay, handed to [on_day_stats]
-   after each day's barrier. *)
-type day_stats = {
-  day : int;
-  day_ops : int;
-  deferred : int;  (** ops that fell back to the serial phase *)
-  batches : int;  (** per-cg conflict-free batches executed *)
-  lock_stats : Ffs.Locks.stats;  (** lock activity during the day *)
-}
-
-(* One operation executed on a worker pinned to its cylinder group.
-   Returns the outcome instead of acting on the engine's shared skip
-   state: the coordinator merges outcomes in canonical operation order,
-   so skip accounting (and [Too_many_skips]) is identical at every jobs
-   level. [`Defer] means the op needs state outside its group — it was
-   rolled back (or deterministically part-done, for a rewrite's
-   truncation) and the serial phase will redo it with the whole volume
-   visible.
-
-   [deferred] is the batch-local set of workload inodes with a deferred
-   op earlier in this batch. Once a file's op defers, every later op on
-   it this day must defer too — otherwise a Modify after a deferred
-   Create would see "no such file" and skip, where the serial order
-   (create, then modify) applies both. The set is per batch and a batch
-   runs on one worker, so no locking; and batch contents don't depend on
-   the jobs level, so deferral decisions stay jobs-independent. *)
-let papply e ~deferred op =
-  let globally = Ffs.Locks.globally in
-  let time = Workload.Op.time_of op in
-  let count () =
-    Obs.Metrics.inc metrics ~labels:[ ("kind", op_kind op) ] "replay_ops_total"
-  in
-  let defer ino =
-    Hashtbl.replace deferred ino ();
-    `Defer
-  in
-  match op with
-  | _ when Hashtbl.mem deferred (Workload.Op.ino_of op) ->
-      `Defer
-  | Workload.Op.Create { ino; size; _ } -> (
-      match globally (fun () -> Hashtbl.find_opt e.ino_map ino) with
-      | Some _ ->
-          count ();
-          `Skip
-      | None -> (
-          let ipg = Ffs.Params.inodes_per_group (Ffs.Fs.params e.fs) in
-          let cg = ino / ipg mod Array.length e.group_dirs in
-          let dir = e.group_dirs.(cg) in
-          match Ffs.Fs.create_file_at e.fs ~time ~dir ~name:(Fmt.str "f%d" ino) ~size with
-          | Ok inum ->
-              globally (fun () -> Hashtbl.replace e.ino_map ino inum);
-              count ();
-              `Applied
-          | Error (Ffs.Error.Cross_cg _ | Ffs.Error.Out_of_space) -> defer ino
-          | Error err -> Ffs.Error.raise_ err))
-  | Workload.Op.Delete { ino; _ } -> (
-      match globally (fun () -> Hashtbl.find_opt e.ino_map ino) with
-      | None ->
-          count ();
-          `Skip
-      | Some inum -> (
-          match Ffs.Fs.delete_inum e.fs inum with
-          | Ok () ->
-              globally (fun () -> Hashtbl.remove e.ino_map ino);
-              count ();
-              `Applied
-          | Error (Ffs.Error.Cross_cg _) -> defer ino
-          | Error err -> Ffs.Error.raise_ err))
-  | Workload.Op.Modify { ino; size; _ } -> (
-      match globally (fun () -> Hashtbl.find_opt e.ino_map ino) with
-      | None ->
-          count ();
-          `Skip
-      | Some inum -> (
-          match Ffs.Fs.rewrite_file_at e.fs ~time ~inum ~size with
-          | Ok () ->
-              count ();
-              `Applied
-          | Error (Ffs.Error.Cross_cg _ | Ffs.Error.Out_of_space) -> defer ino
-          | Error err -> Ffs.Error.raise_ err))
-
-(* Replay with several domains aging the one volume.
-
-   Each day's slice of the (time-sorted) op stream is partitioned by
-   target cylinder group — the same [ino -> group] map the placement
-   trick uses, and the same key for a file's create, modify and delete,
-   so every op on one file lands in one batch and batch order preserves
-   per-file order. Batches are conflict-free by construction: a worker
-   pins its group's lock (see [Ffs.Locks]) and every placement decision
-   inside the batch depends only on that group's state. Ops that need
-   the whole volume (allocator overflow, indirect-range placement,
-   foreign-group frees) deterministically raise [Cross_cg], are rolled
-   back, and re-run serially in canonical index order after the
-   parallel phase — so the merged result, and therefore the image
-   digest, score series and counters, is bit-identical at every jobs
-   level. *)
-let run_parallel ?(config = Ffs.Fs.default_config) ?(backend = Ffs.Store.Heap_backend)
-    ?(progress = fun ~day:_ ~score:_ -> ()) ?(on_skip = fun _ ~skipped:_ -> ())
-    ?(max_skip_fraction = default_max_skip_fraction)
-    ?(on_day_stats = fun (_ : day_stats) -> ()) ~pool ~params ~days ops =
-  Obs.Trace.span "replay.run_parallel"
-    [ Obs.Trace.i "days" days; Obs.Trace.i "ops" (Array.length ops);
-      Obs.Trace.i "jobs" (Par.Pool.jobs pool) ]
-  @@ fun () ->
-  let e =
-    make_engine ~config ~backend ~progress ~on_skip ~max_skip_fraction ~params ~days
-      ~total_ops:(Array.length ops)
-  in
-  let ncg = params.Ffs.Params.ncg in
-  let locks = Ffs.Locks.create ~ncg in
-  let ipg = Ffs.Params.inodes_per_group params in
-  let key op = Workload.Op.ino_of op / ipg mod ncg in
-  let n = Array.length ops in
-  let pos = ref 0 in
-  for d = 0 to days - 1 do
-    assert (e.next_day = d);
-    let fin = day_end d in
-    let lo = !pos in
-    while !pos < n && Workload.Op.time_of ops.(!pos) < fin do
-      incr pos
-    done;
-    let hi = !pos in
-    let buckets = Array.make ncg [] in
-    for idx = hi - 1 downto lo do
-      buckets.(key ops.(idx)) <- idx :: buckets.(key ops.(idx))
-    done;
-    let nonempty =
-      Array.to_list (Array.init ncg Fun.id)
-      |> List.filter (fun cg -> buckets.(cg) <> [])
-      |> Array.of_list
-    in
-    let locks_before = Ffs.Locks.stats locks in
-    (* phase 1: conflict-free per-group batches on the pool *)
-    let outcomes =
-      Par.Pool.parallel_map pool
-        (fun cg ->
-          let deferred = Hashtbl.create 8 in
-          Ffs.Locks.with_pin locks ~cg (fun () ->
-              List.map (fun idx -> (idx, papply e ~deferred ops.(idx))) buckets.(cg)))
-        nonempty
-    in
-    (* deterministic merge: outcomes in canonical op order (indices are
-       unique, so this never compares the outcome tags) *)
-    let merged = List.sort compare (List.concat (Array.to_list outcomes)) in
-    let deferred =
-      List.filter_map
-        (fun (idx, o) ->
-          match o with
-          | `Applied -> None
-          | `Skip ->
-              skip e ops.(idx);
-              None
-          | `Defer -> Some idx)
-        merged
-    in
-    (* phase 2: the coordinator redoes deferred ops serially, unpinned,
-       with the whole volume visible *)
-    List.iter (fun idx -> apply e ops.(idx)) deferred;
-    (* canonical clock: the serial replay leaves the fs clock at the
-       last applied op's timestamp *)
-    if hi > lo then Ffs.Fs.set_time e.fs (Workload.Op.time_of ops.(hi - 1));
-    finish_day e;
-    on_day_stats
-      {
-        day = d;
-        day_ops = hi - lo;
-        deferred = List.length deferred;
-        batches = Array.length nonempty;
-        lock_stats = Ffs.Locks.diff ~before:locks_before ~after:(Ffs.Locks.stats locks);
-      }
-  done;
-  (* stragglers past the last day boundary, exactly as the serial engine
-     applies them (scored by [finish] below) *)
-  while !pos < n do
-    apply e ops.(!pos);
-    incr pos
-  done;
-  finish e
-
 (* --- crash-consistent replay ---------------------------------------------- *)
 
 type recovery = {

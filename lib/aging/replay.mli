@@ -44,48 +44,6 @@ val run :
     tolerated skips as a fraction of the whole workload, raising
     {!Too_many_skips} mid-run when crossed. *)
 
-(** {2 Intra-volume parallel replay}
-
-    The same replay with several domains aging the {e one} volume.
-    Each day's operations are partitioned into conflict-free batches by
-    target cylinder group (the placement trick's own [ino -> group]
-    map, so all ops on a file share a batch and keep their order); a
-    worker executes a batch while holding that group's lock and pinned
-    to it (see {!Ffs.Locks}), and any operation that needs state
-    outside its group is deterministically rolled back and redone
-    serially after the batches drain. The merged result is
-    {b bit-identical at every jobs level}: same image digest
-    ({!Ffs.Fs.digest}), same daily score series, same
-    [ffs_alloc_blocks_total]. *)
-
-type day_stats = {
-  day : int;
-  day_ops : int;  (** operations whose timestamp fell in this day *)
-  deferred : int;  (** ops redone serially after the parallel phase *)
-  batches : int;  (** conflict-free per-group batches *)
-  lock_stats : Ffs.Locks.stats;  (** lock activity during the day *)
-}
-
-val run_parallel :
-  ?config:Ffs.Fs.config ->
-  ?backend:Ffs.Store.spec ->
-  ?progress:(day:int -> score:float -> unit) ->
-  ?on_skip:(Workload.Op.t -> skipped:int -> unit) ->
-  ?max_skip_fraction:float ->
-  ?on_day_stats:(day_stats -> unit) ->
-  pool:Par.Pool.t ->
-  params:Ffs.Params.t ->
-  days:int ->
-  Workload.Op.t array ->
-  result
-(** Replay a time-sorted workload on [pool]'s domains. Options as in
-    {!run}; [on_day_stats] observes each day's batch/deferral/lock
-    accounting after that day's barrier (the per-day contention summary
-    [ffs_age --jobs N --trace] prints). Skip accounting is merged in
-    canonical operation order, so {!Too_many_skips} behaviour matches
-    across jobs levels too. Checkpoints and crash injection are not
-    available in this mode — use the serial engine for those. *)
-
 (** {2 Crash-consistent replay}
 
     The hostile-disk mode: the same replay, but power fails after
@@ -234,11 +192,10 @@ val run_resumable :
     {!Ffs.Check.scrub_exn} on the same day-boundary cadence, before any
     checkpoint of the same boundary (so checkpoints capture the healed
     image) — the periodic self-healing hook for fault-injected stores;
-    its findings go to [on_scrub]. A fault-injecting (resilient)
-    [backend] must only be driven through this serial engine. Note the
-    scrub cadence restarts at the resume day: device-fault schedules
-    live in the store, not the checkpoint, so a resumed run re-arms its
-    plan against the freshly rebuilt store.
+    its findings go to [on_scrub]. Note the scrub cadence restarts at
+    the resume day: device-fault schedules live in the store, not the
+    checkpoint, so a resumed run re-arms its plan against the freshly
+    rebuilt store.
 
     A checkpoint shares structure with the live engine: serialise it
     (see {!Checkpoint}) inside [on_checkpoint]; do not keep using an

@@ -330,11 +330,9 @@ let indexed_searches =
     cluster_best_fit = idx_cluster_best_fit;
   }
 
-(* which strategy the public allocators use; flipped by the differential
-   tests (temporarily) and by {!Policy} instances (for the process) *)
+(* which strategy the public allocators use; flipped (temporarily) by
+   the differential tests *)
 let current_searches = ref indexed_searches
-
-let set_searches s = current_searches := s
 
 let with_reference_searches f =
   let saved = !current_searches in

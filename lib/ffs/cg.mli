@@ -87,10 +87,9 @@ val alloc_cluster :
     Every placement question the allocators ask, as a first-class record
     of searches. Two built-in strategies answer them — the extent
     index's O(log) queries ({!indexed_searches}, the default) and the
-    seed's word-by-word bitmap scans ({!scan_searches}, the oracle) —
-    and {!Policy} instances may install their own. A strategy only
-    {e searches}; mutation and accounting are shared, so swapping one in
-    changes speed, never placements' bookkeeping. *)
+    seed's word-by-word bitmap scans ({!scan_searches}, the oracle). A
+    strategy only {e searches}; mutation and accounting are shared, so
+    swapping one in changes speed, never placements' bookkeeping. *)
 
 type searches = {
   free_block_wrap : t -> start:int -> int option;
@@ -111,10 +110,6 @@ type searches = {
 
 val indexed_searches : searches
 val scan_searches : searches
-
-val set_searches : searches -> unit
-(** Route every allocator in the process through the given strategy
-    (listed policies call this via {!Policy.install}). *)
 
 (** {2 The scan oracle}
 

@@ -10,7 +10,6 @@ type t =
   | Invalid_cg of { cg : int; ncg : int }
   | Invalid_params of string
   | Corrupt of string
-  | Cross_cg of { cg : int; pinned : int }
   | Io of { path : string; message : string }
   | Media_error of { chunk : int; detail : string }
 
@@ -30,11 +29,6 @@ let pp ppf = function
   | Invalid_cg { cg; ncg } -> Fmt.pf ppf "cylinder group %d out of range (0..%d)" cg (ncg - 1)
   | Invalid_params msg -> Fmt.pf ppf "invalid parameters: %s" msg
   | Corrupt msg -> Fmt.pf ppf "corrupt file system: %s" msg
-  | Cross_cg { cg; pinned } ->
-      if cg < 0 then
-        Fmt.pf ppf "operation overflows cylinder group %d (domain pinned to it)" pinned
-      else
-        Fmt.pf ppf "operation touches cylinder group %d while pinned to %d" cg pinned
   | Io { path; message } -> Fmt.pf ppf "%s: %s" path message
   | Media_error { chunk; detail } ->
       Fmt.pf ppf "unhealable media error at chunk %d: %s" chunk detail

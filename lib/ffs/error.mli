@@ -21,28 +21,18 @@ type t =
   | Invalid_params of string  (** rejected by [Params.v]'s validation *)
   | Corrupt of string
       (** an internal cross-check found inconsistent on-image state *)
-  | Cross_cg of { cg : int; pinned : int }
-      (** an operation running pinned to cylinder group [pinned] (see
-          {!Locks.with_pin}) needed to touch group [cg] — or, when [cg]
-          is [-1], needed a fs-wide overflow search. The parallel replay
-          catches this, rolls the operation back and defers it to the
-          serial phase; it never escapes to users of the serial API.
-          Declared after the original constructors so earlier tags (and
-          thus marshalled images) are unchanged. *)
   | Io of { path : string; message : string }
       (** a durable-artifact read or write failed at the OS level (the
           result-typed twins of [Aging.Image.save] and
           [Aging.Checkpoint.save] catch [Sys_error]/[Unix_error] into
-          this). Declared after the original constructors; see
-          {!Cross_cg}. *)
+          this). *)
   | Media_error of { chunk : int; detail : string }
       (** the self-healing store ([Store.Resilient]) could not recover a
           chunk: its spare regions are exhausted, or a quarantined
           replacement failed too. The volume's remaining data is intact
           but the store can no longer mask device faults — callers
           should fail the volume gracefully (the fleet supervisor
-          quarantines it) rather than trust further reads. Declared
-          last; see {!Cross_cg}. *)
+          quarantines it) rather than trust further reads. *)
 
 exception Error of t
 (** Raised by the [_exn] entry points. Registered with

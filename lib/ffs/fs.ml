@@ -112,32 +112,22 @@ let alloc_inode_near t ~cg =
         Some inum
     | None -> None
   in
-  match Locks.pinned () with
-  | Some p ->
-      (* pinned domains may only touch their own group; a full group
-         means the serial phase must place this inode (the overflow
-         search reads every group) *)
-      if cg <> p then Error.raise_ (Error.Cross_cg { cg; pinned = p });
-      (match try_cg p with
-      | Some _ as r -> r
-      | None -> Error.raise_ (Error.Cross_cg { cg = -1; pinned = p }))
+  let rec quadratic c i =
+    if i >= ncg then None
+    else begin
+      let c = (c + i) mod ncg in
+      match try_cg c with Some _ as r -> r | None -> quadratic c (i * 2)
+    end
+  in
+  let rec brute c i =
+    if i >= ncg then None
+    else
+      match try_cg (c mod ncg) with Some _ as r -> r | None -> brute (c + 1) (i + 1)
+  in
+  match try_cg cg with
+  | Some _ as r -> r
   | None -> (
-      let rec quadratic c i =
-        if i >= ncg then None
-        else begin
-          let c = (c + i) mod ncg in
-          match try_cg c with Some _ as r -> r | None -> quadratic c (i * 2)
-        end
-      in
-      let rec brute c i =
-        if i >= ncg then None
-        else
-          match try_cg (c mod ncg) with Some _ as r -> r | None -> brute (c + 1) (i + 1)
-      in
-      match try_cg cg with
-      | Some _ as r -> r
-      | None -> (
-          match quadratic cg 1 with Some _ as r -> r | None -> brute (cg + 2) 2))
+      match quadratic cg 1 with Some _ as r -> r | None -> brute (cg + 2) 2)
 
 (* --- block and fragment allocation ------------------------------------- *)
 
@@ -148,17 +138,9 @@ let total_free_blocks t = Array.fold_left (fun acc cg -> acc + Cg.free_block_cou
    the preferred group, then quadratic rehash, then brute force. [f] gets
    the group index and must return [None] to mean "nothing here". *)
 let hashalloc t ~cg ~f =
-  (match Locks.pinned () with
-  | Some p ->
-      (* confine the search to the pinned group: a foreign preference or
-         an overflow both mean "needs the whole volume" — defer *)
-      if cg <> p then Error.raise_ (Error.Cross_cg { cg; pinned = p })
-  | None -> ());
   let ncg = t.params.Params.ncg in
   match f cg with
   | Some _ as r -> r
-  | None when Locks.pinned () <> None ->
-      Error.raise_ (Error.Cross_cg { cg = -1; pinned = cg })
   | None ->
       let rec quadratic c i =
         if i >= ncg then None
@@ -208,12 +190,8 @@ let alloc_block t ~pref_cg ~pref_block ~prev =
       let contig =
         match prev with Some p -> addr = p + fpb t | None -> false
       in
-      (* fs-wide counters are superblock state: global-lock leaf when a
-         pinned domain is running, a plain store otherwise *)
-      Locks.globally (fun () ->
-          t.stats.blocks_allocated <- t.stats.blocks_allocated + 1;
-          if contig then
-            t.stats.contiguous_allocations <- t.stats.contiguous_allocations + 1);
+      t.stats.blocks_allocated <- t.stats.blocks_allocated + 1;
+      if contig then t.stats.contiguous_allocations <- t.stats.contiguous_allocations + 1;
       let cg = cg_of_global t addr in
       jot t (Journal.Data_set { addr; frags = fpb t });
       Obs.Metrics.inc metrics "ffs_alloc_blocks_total";
@@ -240,8 +218,7 @@ let alloc_frags t ~pref_cg ~pref_frag ~count =
   match hashalloc t ~cg:pref_cg ~f:alloc with
   | None -> Error.raise_ Error.Out_of_space
   | Some addr ->
-      Locks.globally (fun () ->
-          t.stats.frags_allocated <- t.stats.frags_allocated + count);
+      t.stats.frags_allocated <- t.stats.frags_allocated + count;
       let cg = cg_of_global t addr in
       jot t (Journal.Data_set { addr; frags = count });
       Obs.Metrics.inc metrics "ffs_alloc_frag_runs_total";
@@ -261,9 +238,6 @@ let alloc_frags t ~pref_cg ~pref_frag ~count =
 
 let free_run t ~addr ~frags =
   let cg, frag = local_of_global t addr in
-  (match Locks.pinned () with
-  | Some p when cg <> p -> Error.raise_ (Error.Cross_cg { cg; pinned = p })
-  | _ -> ());
   jot t (Journal.Data_clear { addr; frags });
   Obs.Metrics.add metrics "ffs_free_frags_total" frags;
   Cg.free_frags t.cgs.(cg) ~pos:frag ~count:frags
@@ -330,8 +304,7 @@ let window_is_contiguous t walk =
    cluster of the same group (ffs_reallocblks). *)
 let flush_window t walk =
   if t.cfg.realloc && walk.win_len >= 2 then begin
-    Locks.globally (fun () ->
-        t.stats.realloc_attempts <- t.stats.realloc_attempts + 1);
+    t.stats.realloc_attempts <- t.stats.realloc_attempts + 1;
     Obs.Metrics.inc metrics "ffs_realloc_attempts_total";
     if not (window_is_contiguous t walk) then begin
       let cg = walk.win_cg in
@@ -347,12 +320,10 @@ let flush_window t walk =
         Cg.alloc_cluster t.cgs.(cg) ~policy:t.cfg.cluster_policy ~pref ~len:walk.win_len
       with
       | None ->
-          Locks.globally (fun () ->
-              t.stats.realloc_failures <- t.stats.realloc_failures + 1);
+          t.stats.realloc_failures <- t.stats.realloc_failures + 1;
           Obs.Metrics.inc metrics "ffs_realloc_failures_total"
       | Some base_block ->
-          Locks.globally (fun () ->
-              t.stats.realloc_moves <- t.stats.realloc_moves + 1);
+          t.stats.realloc_moves <- t.stats.realloc_moves + 1;
           Obs.Metrics.inc metrics "ffs_realloc_moves_total";
           Obs.Metrics.add metrics "ffs_realloc_moved_blocks_total" walk.win_len;
           Obs.Heatmap.record heat ~cg Obs.Heatmap.Realloc;
@@ -412,11 +383,6 @@ let allocate_data t ~home_cg ~size =
     for lbn = 0 to nfull - 1 do
       (* indirect-block boundary: close the window, move to a new group *)
       if lbn >= ndaddr && (lbn - ndaddr) mod nindir = 0 then begin
-        (* the range-placement policy reads every group's free count, so
-           a pinned domain cannot decide it — defer the whole file *)
-        (match Locks.pinned () with
-        | Some p -> Error.raise_ (Error.Cross_cg { cg = -1; pinned = p })
-        | None -> ());
         flush_window t walk;
         t.stats.indirect_switches <- t.stats.indirect_switches + 1;
         let after_cg =
@@ -459,9 +425,7 @@ let allocate_data t ~home_cg ~size =
       Util.Vec.push walk.entries { Inode.addr; frags = tail_frags }
     end;
     (Util.Vec.to_array walk.entries, Util.Vec.to_array walk.indirects)
-  with Error.Error (Error.Out_of_space | Error.Cross_cg _) as exn ->
-    (* everything taken so far sits in the pinned group (or, serially,
-       wherever it landed) — rollback is always local and safe *)
+  with Error.Error Error.Out_of_space as exn ->
     rollback ();
     raise exn
 
@@ -477,7 +441,7 @@ let get_dir t inum =
 (* Extend the directory's data by one fragment when its entry count
    crosses a 16-entry boundary (directories never shrink in FFS). *)
 let maybe_extend_dir t dir =
-  let ino = Locks.globally (fun () -> Hashtbl.find t.inodes dir.dir_inum) in
+  let ino = Hashtbl.find t.inodes dir.dir_inum in
   let have = Inode.frag_count ino in
   let want = dir_data_frags_for dir.live_entries in
   if want > have then begin
@@ -503,9 +467,7 @@ let add_dir_entry t ~dir ~name ~inum =
   Hashtbl.replace d.by_name name inum;
   d.order <- name :: d.order;
   d.live_entries <- d.live_entries + 1;
-  (* [t.parents] is shared across groups (the per-dir tables are not:
-     each directory belongs to exactly one group's batch) *)
-  Locks.globally (fun () -> Hashtbl.replace t.parents inum (dir, name));
+  Hashtbl.replace t.parents inum (dir, name);
   (* real write order: the directory grows first, then the new entry's
      block is written — so the extension steps precede the entry step *)
   maybe_extend_dir t d;
@@ -515,7 +477,7 @@ let remove_dir_entry t ~dir ~name =
   let d = get_dir t dir in
   (match Hashtbl.find_opt d.by_name name with
   | None -> Error.raise_ (Error.No_such_name { dir; name })
-  | Some inum -> Locks.globally (fun () -> Hashtbl.remove t.parents inum));
+  | Some inum -> Hashtbl.remove t.parents inum);
   Hashtbl.remove d.by_name name;
   d.live_entries <- d.live_entries - 1;
   jot t (Journal.Dir_remove { dir; name })
@@ -681,7 +643,7 @@ let dir_of_inum t inum =
 
 (* --- file API ------------------------------------------------------------ *)
 
-let create_file_at_exn t ~time ~dir ~name ~size =
+let create_file_exn t ~dir ~name ~size =
   let d = get_dir t dir in
   if Hashtbl.mem d.by_name name then Error.raise_ (Error.Name_exists { dir; name });
   let home_cg = cg_of_inum t dir in
@@ -693,15 +655,15 @@ let create_file_at_exn t ~time ~dir ~name ~size =
       try
         let entries, indirects = allocate_data t ~home_cg:actual_cg ~size in
         allocated := Some (entries, indirects);
-        let ino = Inode.v ~inum ~kind:Inode.File ~time in
+        let ino = Inode.v ~inum ~kind:Inode.File ~time:t.clock in
         ino.Inode.size <- size;
         ino.Inode.entries <- entries;
         ino.Inode.indirect_addrs <- indirects;
-        Locks.globally (fun () -> Hashtbl.replace t.inodes inum ino);
+        Hashtbl.replace t.inodes inum ino;
         jot t (Journal.Inode_write { ino = snapshot_inode ino });
         add_dir_entry t ~dir ~name ~inum;
         inum
-      with Error.Error (Error.Out_of_space | Error.Cross_cg _) as exn ->
+      with Error.Error Error.Out_of_space as exn ->
         (* unwind exactly the stages reached: the directory entry (the
            dir-extension fragment can fail *after* the entry is in), the
            file data, the inode-table insert, the inode slot.
@@ -714,13 +676,10 @@ let create_file_at_exn t ~time ~dir ~name ~size =
               (fun e -> free_run t ~addr:e.Inode.addr ~frags:e.Inode.frags)
               entries;
             Array.iter (fun a -> free_run t ~addr:a ~frags:(fpb t)) indirects);
-        Locks.globally (fun () -> Hashtbl.remove t.inodes inum);
+        Hashtbl.remove t.inodes inum;
         Cg.free_inode t.cgs.(actual_cg) (inum mod ipg t);
         jot t (Journal.Inode_slot_clear { inum });
         raise exn)
-
-let create_file_exn t ~dir ~name ~size =
-  create_file_at_exn t ~time:t.clock ~dir ~name ~size
 
 let free_file_data t ino =
   Array.iter (fun e -> free_run t ~addr:e.Inode.addr ~frags:e.Inode.frags) ino.Inode.entries;
@@ -729,33 +688,16 @@ let free_file_data t ino =
   ino.Inode.indirect_addrs <- [||];
   ino.Inode.size <- 0
 
-(* When pinned, refuse (before any mutation) an inode whose slot, data
-   or indirect blocks live outside the pinned group — the serial phase
-   owns those. Files created by this volume's replay stay in one group,
-   so the check only fires on overflow placements. *)
-let assert_inum_local t ~pin inum ino =
-  let cg = cg_of_inum t inum in
-  if cg <> pin then Error.raise_ (Error.Cross_cg { cg; pinned = pin });
-  let check addr =
-    let cg = cg_of_global t addr in
-    if cg <> pin then Error.raise_ (Error.Cross_cg { cg; pinned = pin })
-  in
-  Array.iter (fun e -> check e.Inode.addr) ino.Inode.entries;
-  Array.iter check ino.Inode.indirect_addrs
-
 let delete_inum_exn t inum =
-  match Locks.globally (fun () -> Hashtbl.find_opt t.inodes inum) with
+  match Hashtbl.find_opt t.inodes inum with
   | None -> Error.raise_ (Error.No_such_inode { inum })
   | Some ino ->
       if ino.Inode.kind = Inode.Dir then
         Error.raise_ (Error.Is_a_directory { inum; op = "delete_inum" });
-      (match Locks.pinned () with
-      | Some pin -> assert_inum_local t ~pin inum ino
-      | None -> ());
       free_file_data t ino;
-      Locks.globally (fun () -> Hashtbl.remove t.inodes inum);
+      Hashtbl.remove t.inodes inum;
       jot t (Journal.Inode_clear { inum });
-      (match Locks.globally (fun () -> Hashtbl.find_opt t.parents inum) with
+      (match Hashtbl.find_opt t.parents inum with
       | Some (dir, name) -> remove_dir_entry t ~dir ~name
       | None -> ());
       Cg.free_inode t.cgs.(cg_of_inum t inum) (inum mod ipg t);
@@ -766,37 +708,28 @@ let delete_file_exn t ~dir ~name =
   | None -> Error.raise_ (Error.No_such_name { dir; name })
   | Some inum -> delete_inum_exn t inum
 
-let rewrite_file_at_exn t ~time ~inum ~size =
-  match Locks.globally (fun () -> Hashtbl.find_opt t.inodes inum) with
+let rewrite_file_exn t ~inum ~size =
+  match Hashtbl.find_opt t.inodes inum with
   | None -> Error.raise_ (Error.No_such_inode { inum })
   | Some ino ->
       if ino.Inode.kind = Inode.Dir then
         Error.raise_ (Error.Is_a_directory { inum; op = "rewrite_file" });
-      (* pinned: refuse before freeing anything if the old data strays
-         outside the group. (Allocation below may still defer after the
-         free — that partial state is deterministic, and the serial
-         retry simply allocates for the now-empty file.) *)
-      (match Locks.pinned () with
-      | Some pin -> assert_inum_local t ~pin inum ino
-      | None -> ());
       free_file_data t ino;
       let home_cg = cg_of_inum t inum in
       let entries, indirects = allocate_data t ~home_cg ~size in
       ino.Inode.size <- size;
       ino.Inode.entries <- entries;
       ino.Inode.indirect_addrs <- indirects;
-      ino.Inode.mtime <- time;
+      ino.Inode.mtime <- t.clock;
       jot t (Journal.Inode_write { ino = snapshot_inode ino })
 
-let rewrite_file_exn t ~inum ~size = rewrite_file_at_exn t ~time:t.clock ~inum ~size
-
 let inode t inum =
-  match Locks.globally (fun () -> Hashtbl.find_opt t.inodes inum) with
+  match Hashtbl.find_opt t.inodes inum with
   | Some i -> i
   | None -> raise Not_found
 
 let file_exists t inum =
-  match Locks.globally (fun () -> Hashtbl.find_opt t.inodes inum) with
+  match Hashtbl.find_opt t.inodes inum with
   | Some i -> i.Inode.kind = Inode.File
   | None -> false
 
@@ -983,9 +916,9 @@ let of_portable ?(backend = Store.Heap_backend) p =
 (* A digest of the fs's logical content that is independent of hashtable
    internals and of the storage backend: two file systems that agree on
    every inode, directory, group image and counter hash identically even
-   when their tables were populated in different orders (exactly what
-   parallel aging produces) or their bytes live in different backends
-   (exactly what the backend differential suite pins). Raw [Marshal] of
+   when their tables were populated in different orders (a checkpoint
+   restore, say) or their bytes live in different backends (exactly
+   what the backend differential suite pins). Raw [Marshal] of
    [t] would have neither property. *)
 let digest_parts_of_portable p =
   let part name fill =
@@ -1098,9 +1031,6 @@ let apply_journal t steps = List.iter (apply_step t) steps
 let create_file t ~dir ~name ~size =
   Error.guard (fun () -> create_file_exn t ~dir ~name ~size)
 
-let create_file_at t ~time ~dir ~name ~size =
-  Error.guard (fun () -> create_file_at_exn t ~time ~dir ~name ~size)
-
 let mkdir t ~parent ~name = Error.guard (fun () -> mkdir_exn t ~parent ~name)
 
 let mkdir_in_cg t ~parent ~name ~cg =
@@ -1111,9 +1041,6 @@ let delete_file t ~dir ~name = Error.guard (fun () -> delete_file_exn t ~dir ~na
 let delete_inum t inum = Error.guard (fun () -> delete_inum_exn t inum)
 let rewrite_file t ~inum ~size =
   Error.guard (fun () -> rewrite_file_exn t ~inum ~size)
-
-let rewrite_file_at t ~time ~inum ~size =
-  Error.guard (fun () -> rewrite_file_at_exn t ~time ~inum ~size)
 let detach_entry t ~dir ~name = Error.guard (fun () -> detach_entry_exn t ~dir ~name)
 
 let attach_entry t ~dir ~name ~inum =

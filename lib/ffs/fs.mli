@@ -111,18 +111,9 @@ val create_file : t -> dir:int -> name:string -> size:int -> (int, Error.t) resu
     The inode is allocated in the directory's cylinder group when
     possible. Errors: [Out_of_space] if the data cannot be placed (all
     partial allocations are rolled back), [Name_exists],
-    [Not_a_directory]; under a {!Locks.with_pin}, [Cross_cg] with the
-    same full-rollback guarantee. *)
+    [Not_a_directory]. *)
 
 val create_file_exn : t -> dir:int -> name:string -> size:int -> int
-
-val create_file_at :
-  t -> time:float -> dir:int -> name:string -> size:int -> (int, Error.t) result
-(** {!create_file} stamping the inode with an explicit [time] instead of
-    the shared fs clock — what parallel replay uses so that worker
-    interleaving never reads or writes the clock. *)
-
-val create_file_at_exn : t -> time:float -> dir:int -> name:string -> size:int -> int
 
 val delete_file : t -> dir:int -> name:string -> (unit, Error.t) result
 (** Errors: [No_such_name], [Is_a_directory]. *)
@@ -139,18 +130,9 @@ val rewrite_file : t -> inum:int -> size:int -> (unit, Error.t) result
     [size] bytes afresh (same inode, same directory). Errors:
     [No_such_inode], [Is_a_directory], [Out_of_space] — in the last
     case the truncation has still happened (as in the real syscall
-    sequence), so the file is left empty. Under a {!Locks.with_pin},
-    [Cross_cg] either before any mutation (foreign old data) or after
-    the truncation (allocation overflow), mirroring the [Out_of_space]
-    contract. *)
+    sequence), so the file is left empty. *)
 
 val rewrite_file_exn : t -> inum:int -> size:int -> unit
-
-val rewrite_file_at : t -> time:float -> inum:int -> size:int -> (unit, Error.t) result
-(** {!rewrite_file} stamping mtime with an explicit [time] instead of
-    the shared fs clock. *)
-
-val rewrite_file_at_exn : t -> time:float -> inum:int -> size:int -> unit
 
 val inode : t -> int -> Inode.t
 (** Raises [Not_found] for unallocated inode numbers. *)
@@ -193,8 +175,8 @@ val digest : t -> string
     directory / parent tables {e in sorted key order} — so two file
     systems with identical content hash identically even when their
     hashtables were populated in different orders. This is the digest
-    the parallel-aging determinism gates compare; raw [Marshal] bytes of
-    the whole [t] would depend on table history. *)
+    the determinism and backend-identity gates compare; raw [Marshal]
+    bytes of the whole [t] would depend on table history. *)
 
 val digest_parts : t -> (string * string) list
 (** The named component digests [digest] is built from (header, stats,

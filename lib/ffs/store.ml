@@ -48,12 +48,10 @@
    Dirty-region tracking rides on the same object: the address space is
    divided into power-of-two chunks (one chunk per cylinder group the
    way {!Layout} sizes them) and every write marks its chunk's byte in
-   [dirty].  Writes from concurrently pinned domains land on distinct
-   dirty bytes (one group, one chunk), so marking needs no lock beyond
-   the per-group discipline {!Locks} already enforces.  Checkpoint
-   writers read {!dirty_chunks} to emit deltas and {!clear_dirty} after
-   a successful save.  Fault injection is serial-engine only: the
-   injection state (rng, bad set) is deliberately unsynchronised. *)
+   [dirty].  Checkpoint writers read {!dirty_chunks} to emit deltas and
+   {!clear_dirty} after a successful save.  A store is driven by one
+   domain at a time: the dirty map and the injection state (rng, bad
+   set) are deliberately unsynchronised. *)
 
 module type S = sig
   val length : int

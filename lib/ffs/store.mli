@@ -28,12 +28,11 @@
     suite pins [Heap] and [Map] images bit-identical.
 
     Every write also marks its {e chunk} (a power-of-two span, one per
-    cylinder group under {!Layout}) in a dirty map, under the same
-    per-group {!Locks} discipline that already serialises the writes
-    themselves.  Delta checkpoints are built from {!dirty_chunks} and
-    acknowledged with {!clear_dirty}.  Fault injection and quarantine
-    state are deliberately unsynchronised: a fault-injecting store must
-    only be driven by the serial replay engine. *)
+    cylinder group under {!Layout}) in a dirty map.  Delta checkpoints
+    are built from {!dirty_chunks} and acknowledged with {!clear_dirty}.
+    The dirty map, fault injection and quarantine state are deliberately
+    unsynchronised: a store must only be driven by one domain at a
+    time. *)
 
 (** The backend contract, for plugging in an external representation via
     {!custom}.  [get]/[set] take absolute byte offsets in

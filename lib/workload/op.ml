@@ -57,31 +57,33 @@ let sort_by_time ops =
     indexed;
   Array.iteri (fun i (_, _, op) -> ops.(i) <- op) indexed
 
-let check_well_formed ops =
+let first_violation ops =
   let live = Hashtbl.create 1024 in
-  let exception Bad of string in
+  let exception Bad of int * string in
+  let bad i fmt = Fmt.kstr (fun m -> raise (Bad (i, m))) fmt in
   try
     let last_time = ref neg_infinity in
     Array.iteri
       (fun i op ->
         let time = time_of op in
-        if time < !last_time then
-          raise (Bad (Fmt.str "op %d: time goes backwards (%.1f < %.1f)" i time !last_time));
+        if time < !last_time then bad i "time goes backwards (%.1f < %.1f)" time !last_time;
         last_time := time;
         match op with
         | Create { ino; size; _ } ->
-            if size < 0 then raise (Bad (Fmt.str "op %d: negative size" i));
-            if Hashtbl.mem live ino then
-              raise (Bad (Fmt.str "op %d: create of live inode %d" i ino));
+            if size < 0 then bad i "negative size";
+            if Hashtbl.mem live ino then bad i "create of live inode %d" ino;
             Hashtbl.replace live ino ()
         | Delete { ino; _ } ->
-            if not (Hashtbl.mem live ino) then
-              raise (Bad (Fmt.str "op %d: delete of dead inode %d" i ino));
+            if not (Hashtbl.mem live ino) then bad i "delete of dead inode %d" ino;
             Hashtbl.remove live ino
         | Modify { ino; size; _ } ->
-            if size < 0 then raise (Bad (Fmt.str "op %d: negative size" i));
-            if not (Hashtbl.mem live ino) then
-              raise (Bad (Fmt.str "op %d: modify of dead inode %d" i ino)))
+            if size < 0 then bad i "negative size";
+            if not (Hashtbl.mem live ino) then bad i "modify of dead inode %d" ino)
       ops;
-    Ok ()
-  with Bad msg -> Error msg
+    None
+  with Bad (i, why) -> Some (i, why)
+
+let check_well_formed ops =
+  match first_violation ops with
+  | None -> Ok ()
+  | Some (i, why) -> Error (Fmt.str "op %d: %s" i why)

@@ -43,3 +43,7 @@ val sort_by_time : t array -> unit
 val check_well_formed : t array -> (unit, string) result
 (** Validate: times non-decreasing; no create of a live inode, no
     delete/modify of a dead one. *)
+
+val first_violation : t array -> (int * string) option
+(** The index of the first operation {!check_well_formed} rejects, and
+    why. *)

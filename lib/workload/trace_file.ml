@@ -18,8 +18,10 @@ let save ~path ops =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string ops))
 
+exception Bad_line of int * string
+
 let parse_line lineno line =
-  let fail msg = failwith (Fmt.str "trace line %d: %s: %S" lineno msg line) in
+  let fail msg = raise (Bad_line (lineno, Fmt.str "%s: %S" msg line)) in
   match String.split_on_char ' ' (String.trim line) with
   | [ "C"; ino; size; time ] -> (
       match (int_of_string_opt ino, int_of_string_opt size, float_of_string_opt time) with
@@ -35,30 +37,35 @@ let parse_line lineno line =
       | _ -> fail "malformed delete")
   | _ -> fail "unrecognized record"
 
+let corrupt lineno msg = Error (Ffs.Error.Corrupt (Fmt.str "trace line %d: %s" lineno msg))
+
 let of_string s =
-  let lines = String.split_on_char '\n' s in
-  let ops = Util.Vec.create () in
-  (match lines with
-  | first :: rest ->
-      if String.trim first <> header then
-        failwith (Fmt.str "trace: bad header %S (expected %S)" first header);
+  let first, rest =
+    match String.split_on_char '\n' s with first :: rest -> (first, rest) | [] -> ("", [])
+  in
+  if String.trim first <> header then
+    corrupt 1 (Fmt.str "bad header %S (expected %S)" first header)
+  else begin
+    let ops = Util.Vec.create () and linenos = Util.Vec.create () in
+    match
       List.iteri
         (fun i line ->
           let line = String.trim line in
-          if line <> "" && not (String.length line > 0 && line.[0] = '#') then
-            Util.Vec.push ops (parse_line (i + 2) line))
+          if line <> "" && line.[0] <> '#' then begin
+            Util.Vec.push ops (parse_line (i + 2) line);
+            Util.Vec.push linenos (i + 2)
+          end)
         rest
-  | [] -> failwith "trace: empty input");
-  let ops = Util.Vec.to_array ops in
-  (match Op.check_well_formed ops with
-  | Ok () -> ()
-  | Error e -> failwith ("trace: not well-formed: " ^ e));
-  ops
+    with
+    | exception Bad_line (lineno, msg) -> corrupt lineno msg
+    | () -> (
+        let ops = Util.Vec.to_array ops in
+        match Op.first_violation ops with
+        | None -> Ok ops
+        | Some (i, why) -> corrupt (Util.Vec.get linenos i) ("ill-formed workload: " ^ why))
+  end
 
 let load ~path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      of_string (really_input_string ic n))
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s -> of_string s
+  | exception Sys_error message -> Error (Ffs.Error.Io { path; message })

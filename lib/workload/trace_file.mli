@@ -9,9 +9,12 @@
 
 val save : path:string -> Op.t array -> unit
 
-val load : path:string -> Op.t array
-(** Raises [Failure] with a line number on malformed input. The loaded
-    trace is validated with {!Op.check_well_formed}. *)
+val load : path:string -> (Op.t array, Ffs.Error.t) result
+(** [Io] when the file cannot be read; otherwise as {!of_string}. *)
 
 val to_string : Op.t array -> string
-val of_string : string -> Op.t array
+
+val of_string : string -> (Op.t array, Ffs.Error.t) result
+(** [Corrupt "trace line N: ..."] naming the first offending line: a
+    bad header, an unparseable record, or an operation that fails
+    {!Op.check_well_formed}. *)

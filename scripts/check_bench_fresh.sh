@@ -2,8 +2,8 @@
 # Stale-benchmark guard for CI.
 #
 # `make verify` regenerates every committed benchmark baseline
-# (BENCH_alloc.json, BENCH_fleet.json, BENCH_age_parallel.json,
-# BENCH_backend.json, BENCH_scrub.json) as a
+# (BENCH_alloc.json, BENCH_fleet.json, BENCH_backend.json,
+# BENCH_scrub.json) as a
 # side effect of gating against it. A verify run that somehow skipped a
 # benchmark would leave the committed file untouched and the gate
 # silently green — so CI touches a stamp file before verify and this
@@ -28,7 +28,7 @@ fi
 
 # default to the full committed set
 if [ "$#" -eq 0 ]; then
-    set -- BENCH_alloc.json BENCH_fleet.json BENCH_age_parallel.json BENCH_backend.json BENCH_scrub.json
+    set -- BENCH_alloc.json BENCH_fleet.json BENCH_backend.json BENCH_scrub.json
 fi
 
 fail=0

@@ -3,8 +3,8 @@
 # store (checksummed chunks, device-fault injection, scrub-and-repair).
 #
 # Leg 1 — identity: with no fault plan the resilient layer must be
-#   bit-identical to the raw store at every jobs level — same image
-#   digest from ffs_inspect at --jobs 1 and --jobs 2.
+#   bit-identical to the raw store — same image digest from
+#   ffs_inspect.
 #
 # Leg 2 — chaos: a checkpointed aging run with seeded device faults
 #   injected beneath the checksums (transients, latent bad chunks, bit
@@ -27,20 +27,18 @@ WORK=$(mktemp -d /tmp/ffs_scrub_smoke.XXXXXX)
 trap 'rm -rf "$WORK"' EXIT
 
 echo "== scrub smoke: resilient passthrough identity leg =="
-for jobs in 1 2; do
-  "$AGE" --fs small --days 5 --workload ground-truth -q --jobs "$jobs" \
-    --backend bytes --image "$WORK/raw$jobs.img"
-  "$AGE" --fs small --days 5 --workload ground-truth -q --jobs "$jobs" \
-    --backend resilient --image "$WORK/res$jobs.img"
-  a=$("$INSPECT" --image "$WORK/raw$jobs.img" --digest)
-  b=$("$INSPECT" --image "$WORK/res$jobs.img" --digest)
-  if [ "$a" = "$b" ] && [ -n "$a" ]; then
-    echo "   jobs $jobs: digests match: $a"
-  else
-    echo "resilient passthrough diverged at jobs $jobs: raw=$a resilient=$b"
-    exit 1
-  fi
-done
+"$AGE" --fs small --days 5 --workload ground-truth -q \
+  --backend bytes --image "$WORK/raw.img"
+"$AGE" --fs small --days 5 --workload ground-truth -q \
+  --backend resilient --image "$WORK/res.img"
+a=$("$INSPECT" --image "$WORK/raw.img" --digest)
+b=$("$INSPECT" --image "$WORK/res.img" --digest)
+if [ "$a" = "$b" ] && [ -n "$a" ]; then
+  echo "   digests match: $a"
+else
+  echo "resilient passthrough diverged: raw=$a resilient=$b"
+  exit 1
+fi
 
 echo "== scrub smoke: chaos leg (device faults + kill -9 + resume) =="
 FAULTS="transient=0.001,latent=1,bitrot=6,torn=2,horizon=60"

@@ -78,7 +78,7 @@ let test_trace_roundtrip_all_profiles () =
     (fun kind ->
       let ops = Workload.Profiles.build params kind ~days:4 ~seed:5 in
       let ops' = Workload.Trace_file.of_string (Workload.Trace_file.to_string ops) in
-      check_bool (Workload.Profiles.name kind ^ " round-trips") true (ops = ops'))
+      check_bool (Workload.Profiles.name kind ^ " round-trips") true (ops' = Ok ops))
     Workload.Profiles.all
 
 (* --- drive time monotonicity ---------------------------------------------------- *)

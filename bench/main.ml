@@ -12,7 +12,8 @@
    where EXPERIMENT is one of: table1 fig1 fig2 fig3 fig4 fig5 fig6
    table2 checks ablations lfs micro alloc fleet backend scrub. The
    default runs everything at the paper's full scale (300 days; several
-   minutes). *)
+   minutes). Exits 1 when a shape check fails or the alloc, fleet,
+   backend or scrub benchmark reports a regression. *)
 
 let experiments =
   [ "table1"; "fig1"; "fig2"; "fig3"; "fig4"; "fig5"; "fig6"; "table2"; "checks";
@@ -374,14 +375,18 @@ let () =
   if wanted "fig5" then with_ctx (fun ctx -> print_string (Benchlib.Experiments.fig5 ?csv_dir:!csv_dir ctx));
   if wanted "fig6" then with_ctx (fun ctx -> print_string (Benchlib.Experiments.fig6 ?csv_dir:!csv_dir ctx));
   if wanted "table2" then with_ctx (fun ctx -> print_string (Benchlib.Experiments.table2 ?csv_dir:!csv_dir ctx));
-  if wanted "checks" then
-    with_ctx (fun ctx ->
+  let checks_ok =
+    match context with
+    | Some ctx when wanted "checks" ->
         print_endline "\n=== Shape checks vs the paper ===\n";
         let checks = Benchlib.Experiments.shape_checks ctx in
         Fmt.pr "%a@." Benchlib.Paper_expect.pp_checks checks;
         Fmt.pr "%d of %d shape checks passed@."
           (List.length (List.filter (fun c -> c.Benchlib.Paper_expect.passed) checks))
-          (List.length checks));
+          (List.length checks);
+        Benchlib.Paper_expect.all_passed checks
+    | _ -> true
+  in
   if wanted "ablations" then begin
     (* the studies compare configurations against each other, so they
        run at a reduced 90-day scale regardless of --days *)
@@ -397,4 +402,4 @@ let () =
   let scrub_ok = if wanted "scrub" then run_scrub_bench ~out:!scrub_out else true in
   if not (Par.Timings.is_empty timings) then
     Fmt.pr "@.=== Task timings ===@.@.%s@." (Par.Timings.report timings);
-  if not (alloc_ok && fleet_ok && backend_ok && scrub_ok) then exit 1
+  if not (checks_ok && alloc_ok && fleet_ok && backend_ok && scrub_ok) then exit 1

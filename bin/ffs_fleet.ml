@@ -55,7 +55,7 @@ let run volumes days seed jobs geometries profiles fault_rate device_fault_rate
       checkpoint_full_every;
       backend;
       scrub_every;
-      retry = { Par.Pool.no_retry with jitter = 0.25; jitter_seed = seed };
+      backoff = { Fleet.Supervisor.default_config.backoff with seed };
       log;
       chaos = parse_chaos chaos_spec;
     }

@@ -111,6 +111,3 @@ val table2 : ?csv_dir:string -> context -> string
 
 val shape_checks : context -> Paper_expect.shape_check list
 (** The cross-experiment qualitative assertions listed in DESIGN.md. *)
-
-val all : ?csv_dir:string -> context -> string
-(** Every table and figure, then the shape-check summary. *)

@@ -153,9 +153,7 @@ and checked = {
   c_spare_limit : int;
   mutable c_quarantined : int list;  (* logical chunks, newest first *)
   c_retries : int;
-  c_backoff : float;  (* base delay, seconds *)
-  c_max_backoff : float;
-  c_jitter_seed : int;
+  c_seed : int;  (* the store's seed: drives the retry jitter *)
   c_passthrough : bool;  (* no fault plan: remap is the identity, delegate *)
 }
 
@@ -353,20 +351,12 @@ let faulty_fire_events t f =
 
 (* --- the resilient layer's retry machinery --------------------------------- *)
 
-(* the [Par.Pool.backoff_delay] shape, inlined because this library sits
-   below [par]: capped exponential base with seeded +/-50% jitter, so
-   retry timing is deterministic per (store, attempt) *)
-let retry_delay st ~attempt =
-  let base =
-    Float.min st.c_max_backoff (st.c_backoff *. (2.0 ** float_of_int (attempt - 1)))
-  in
-  let u =
-    Util.Prng.unit_float
-      (Util.Prng.create ~seed:(Util.Prng.derive ~seed:st.c_jitter_seed ~index:attempt))
-  in
-  base *. (0.5 +. u)
+let retry_delay ~seed ~attempt =
+  Util.Backoff.delay
+    { Util.Backoff.base = 1e-4; cap = 2e-3; jitter = 0.5; seed = Util.Prng.derive ~seed ~index:9 }
+    ~key:"store" ~attempt
 
-let with_retry st ~op ~chunk f =
+let absorb_transient st ~op ~chunk f =
   let rec go attempt =
     try f ()
     with Io_fault { persistent = false; _ } ->
@@ -379,7 +369,7 @@ let with_retry st ~op ~chunk f =
              })
       else begin
         Obs.Metrics.inc (metrics ()) "store_retries_total";
-        let d = retry_delay st ~attempt in
+        let d = retry_delay ~seed:st.c_seed ~attempt in
         Obs.Metrics.observe (metrics ()) "store_retry_seconds" d;
         if Obs.Trace.enabled () then
           Obs.Trace.event "store.retry" [ Obs.Trace.s "op" op; Obs.Trace.i "attempt" attempt ];
@@ -427,9 +417,7 @@ and resilient ?faults ?(seed = 0) base ~length ~chunk_bytes =
          c_spare_limit = chunks + spares;
          c_quarantined = [];
          c_retries = 4;
-         c_backoff = 1e-4;
-         c_max_backoff = 2e-3;
-         c_jitter_seed = Util.Prng.derive ~seed ~index:9;
+         c_seed = seed;
          c_passthrough = plan = None;
        })
     ~length ~chunk_bytes
@@ -499,7 +487,7 @@ let rec get_byte t i =
 
 and checked_get t st i =
   let c = i lsr t.chunk_shift in
-  match with_retry st ~op:"read" ~chunk:c (fun () -> get_byte st.c_inner (translate t st i)) with
+  match absorb_transient st ~op:"read" ~chunk:c (fun () -> get_byte st.c_inner (translate t st i)) with
   | v -> v
   | exception Io_fault { persistent = true; _ } ->
       quarantine t st ~chunk:c ~reason:"latent read error";
@@ -518,7 +506,7 @@ and set_byte t i c =
 
 and checked_set t st i c =
   let ch = i lsr t.chunk_shift in
-  try with_retry st ~op:"write" ~chunk:ch (fun () -> set_byte st.c_inner (translate t st i) c)
+  try absorb_transient st ~op:"write" ~chunk:ch (fun () -> set_byte st.c_inner (translate t st i) c)
   with Io_fault { persistent = true; _ } ->
     quarantine t st ~chunk:ch ~reason:"write to latent chunk";
     checked_set t st i c
@@ -535,7 +523,7 @@ and quarantine t st ~chunk ~reason =
   st.c_spare_next <- spare + 1;
   let dst = spare lsl t.chunk_shift in
   for i = 0 to (1 lsl t.chunk_shift) - 1 do
-    with_retry st ~op:"quarantine" ~chunk (fun () -> set_byte st.c_inner (dst + i) '\000')
+    absorb_transient st ~op:"quarantine" ~chunk (fun () -> set_byte st.c_inner (dst + i) '\000')
   done;
   st.c_remap.(chunk) <- spare;
   st.c_quarantined <- chunk :: st.c_quarantined;
@@ -621,7 +609,7 @@ let rec sync t =
       sync f.f_inner
   | Checked st ->
       if st.c_passthrough then sync st.c_inner
-      else with_retry st ~op:"sync" ~chunk:(-1) (fun () -> sync st.c_inner)
+      else absorb_transient st ~op:"sync" ~chunk:(-1) (fun () -> sync st.c_inner)
 
 let rec close t =
   match t.repr with

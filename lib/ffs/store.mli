@@ -100,6 +100,12 @@ val resilient_spec : ?faults:Device.plan -> ?seed:int -> spec -> spec
     already-resilient spec is rewrapped around its base). [seed] drives
     the injected faults and the retry jitter. *)
 
+val retry_delay : seed:int -> attempt:int -> float
+(** The resilient layer's sleep after failed attempt [attempt]
+    (1-based) at a transiently failing access, for a store built with
+    [seed]: {!Util.Backoff.delay} from 0.1 ms doubling up to 2 ms, each
+    sleep scaled by a seeded factor in [0.5, 1.5]. *)
+
 val create : spec -> length:int -> chunk_bytes:int -> t
 (** A zero-filled store of [length] bytes with dirty tracking at
     [chunk_bytes] granularity ([chunk_bytes] must be a power of two).

@@ -14,7 +14,7 @@ type config = {
   checkpoint_full_every : int;
   backend : Ffs.Store.spec;
   scrub_every : int;
-  retry : Par.Pool.retry;
+  backoff : Util.Backoff.t;
   log : string -> unit;
   chaos : (int -> attempt:int -> unit) option;
   stop_after : int option;
@@ -31,7 +31,7 @@ let default_config =
     checkpoint_full_every = 8;
     backend = Ffs.Store.Heap_backend;
     scrub_every = 1;
-    retry = { Par.Pool.no_retry with jitter = 0.25 };
+    backoff = { Util.Backoff.base = 0.05; cap = 1.0; jitter = 0.25; seed = 0 };
     log = ignore;
     chaos = None;
     stop_after = None;
@@ -205,7 +205,7 @@ let run_volume cfg sh ~pool (entry0 : Manifest.entry) =
       finish_metrics ()
     end
     else begin
-      let delay = Par.Pool.backoff_delay cfg.retry ~label ~attempt in
+      let delay = Util.Backoff.delay cfg.backoff ~key:label ~attempt in
       cfg.log
         (Fmt.str "%s attempt %d failed (%s); retrying in %.3fs" label attempt msg delay);
       Log.warn (fun m -> m "%s attempt %d failed: %s" label attempt msg);

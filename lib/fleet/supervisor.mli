@@ -12,13 +12,13 @@
       the volume checkpoints at the next operation and the attempt
       counts as a failure (no domain is abandoned — the replay itself
       is asked to stop).
-    - Failed attempts are retried after the pool's seeded
-      exponential-backoff-with-jitter schedule
-      ({!Par.Pool.backoff_delay}). A volume whose consecutive-failure
-      count (persisted in the manifest, so it survives restarts)
-      reaches [quarantine_after] is {e quarantined}: the fleet degrades
-      gracefully, keeps aging the other volumes, and reports the
-      quarantined volume instead of aborting.
+    - Failed attempts are retried after the seeded
+      exponential-backoff-with-jitter schedule ({!Util.Backoff.delay}).
+      A volume whose consecutive-failure count (persisted in the
+      manifest, so it survives restarts) reaches [quarantine_after] is
+      {e quarantined}: the fleet degrades gracefully, keeps aging the
+      other volumes, and reports the quarantined volume instead of
+      aborting.
     - Every status transition atomically rewrites the {!Manifest}, so a
       killed fleet resumes exactly where the manifest says: completed
       volumes keep their recorded summaries, in-flight ones continue
@@ -56,9 +56,10 @@ type config = {
       (** days between {!Ffs.Check.scrub_exn} passes on volumes running
           with device faults (clamped to at least 1 there; fault-free
           volumes never scrub) *)
-  retry : Par.Pool.retry;
-      (** backoff/jitter schedule between attempts ([attempts] itself is
-          ignored — [max_retries] governs) *)
+  backoff : Util.Backoff.t;
+      (** sleep schedule between a volume's attempts, keyed by the
+          volume's label; [max_retries] bounds the attempts and
+          [watchdog] their wall clock *)
   log : string -> unit;  (** progress lines; default drops them *)
   chaos : (int -> attempt:int -> unit) option;
       (** test hook, called before volume [id]'s attempt [n]; raising
@@ -73,7 +74,8 @@ val default_config : config
 (** [jobs] = machine default, [max_retries] = 2, [quarantine_after] =
     3, no watchdog, checkpoint every simulated day, keep 2, full
     checkpoint every 8th save, in-heap backend, scrub every day on
-    faulty volumes, 0.25 jitter on a 0.05 s backoff. *)
+    faulty volumes, a 0.05 s backoff doubling up to 1.0 s with 0.25
+    jitter and seed 0. *)
 
 type outcome = {
   manifest : Manifest.t;  (** final state, as persisted *)

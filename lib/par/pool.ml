@@ -89,109 +89,7 @@ let with_sigint t f =
   in
   Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigint prev) f
 
-(* --- per-task retry, backoff and timeout ---------------------------------- *)
-
-type retry = {
-  attempts : int;
-  backoff : float;
-  max_backoff : float;
-  jitter : float;
-  jitter_seed : int;
-  timeout : float option;
-}
-
-let no_retry =
-  { attempts = 1; backoff = 0.05; max_backoff = 1.0; jitter = 0.0; jitter_seed = 0; timeout = None }
-
-(* The sleep before re-attempt [attempt + 1]: exponential doubling from
-   [backoff], capped at [max_backoff], then scaled by a bounded jitter
-   factor in [1 - jitter, 1 + jitter]. The jitter is a pure function of
-   (jitter_seed, label, attempt) — a deterministic de-synchronizer, not
-   a random one — so tests can pin schedules and a re-run of the same
-   sweep sleeps the same amounts. *)
-let backoff_delay retry ~label ~attempt =
-  let attempt = max 1 attempt in
-  let base =
-    Float.min retry.max_backoff (retry.backoff *. Float.pow 2.0 (float_of_int (attempt - 1)))
-  in
-  let jitter = Float.min 1.0 retry.jitter in
-  if jitter <= 0.0 || base <= 0.0 then Float.max 0.0 base
-  else begin
-    let u =
-      (* collapse (label, attempt) into a child-stream index; derive
-         gives statistically independent draws per (seed, index) *)
-      let index = Hashtbl.hash (label, attempt) in
-      float_of_int (Util.Prng.derive ~seed:retry.jitter_seed ~index land 0x3FFFFFFF)
-      /. 1073741824.0
-    in
-    base *. (1.0 -. jitter +. (2.0 *. jitter *. u))
-  end
-
-exception Timed_out of { label : string; seconds : float }
-
-let () =
-  Printexc.register_printer (function
-    | Timed_out { label; seconds } ->
-        Some (Fmt.str "Par.Pool.Timed_out (%s after %gs)" label seconds)
-    | _ -> None)
-
-(* One attempt. Without a timeout the task runs on the calling worker.
-   With one, it runs on a fresh monitor domain the worker polls: OCaml
-   domains cannot be cancelled, so on expiry the attempt is {e
-   abandoned} — the runaway domain keeps spinning until it finishes or
-   the process exits, but the pool worker is free again, which is the
-   property that keeps a sweep from wedging. *)
-let run_attempt ~label ~timeout f x =
-  match timeout with
-  | None -> f x
-  | Some limit ->
-      let slot = Atomic.make None in
-      let monitor =
-        Domain.spawn (fun () ->
-            let r = try Ok (f x) with e -> Error (e, Printexc.get_raw_backtrace ()) in
-            Atomic.set slot (Some r))
-      in
-      let deadline = Unix.gettimeofday () +. limit in
-      let rec wait () =
-        match Atomic.get slot with
-        | Some r -> (
-            Domain.join monitor;
-            match r with
-            | Ok v -> v
-            | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-        | None ->
-            if Unix.gettimeofday () > deadline then
-              raise (Timed_out { label; seconds = limit })
-            else begin
-              Unix.sleepf 0.002;
-              wait ()
-            end
-      in
-      wait ()
-
-(* Returns the outcome plus the attempts used and the total backoff
-   slept, so the caller can surface retry cost in timings and metrics
-   even when every attempt failed. *)
-let with_retry ~retry ~label f x =
-  let attempts = max 1 retry.attempts in
-  let slept = ref 0.0 in
-  let rec go attempt =
-    match run_attempt ~label ~timeout:retry.timeout f x with
-    | v -> (Ok v, attempt, !slept)
-    | exception _ when attempt < attempts ->
-        (* any failure — exception or timeout — is retried after a
-           jittered exponential backoff; the final attempt's exception
-           propagates *)
-        let delay = backoff_delay retry ~label ~attempt in
-        if delay > 0.0 then Unix.sleepf delay;
-        slept := !slept +. delay;
-        go (attempt + 1)
-    | exception e -> (Error (e, Printexc.get_raw_backtrace ()), attempt, !slept)
-  in
-  go 1
-
-let parallel_map (type a b) ?(retry = no_retry) ?timings ?label t (f : a -> b)
-    (xs : a array) : b array =
+let parallel_map (type a b) ?timings ?label t (f : a -> b) (xs : a array) : b array =
   let n = Array.length xs in
   if n = 0 then [||]
   else begin
@@ -214,18 +112,16 @@ let parallel_map (type a b) ?(retry = no_retry) ?timings ?label t (f : a -> b)
       let started = Unix.gettimeofday () in
       let waited = started -. submitted in
       let name = match label with Some g -> g xs.(i) | None -> Fmt.str "task %d" i in
-      let outcome, attempts, slept = with_retry ~retry ~label:name f xs.(i) in
-      (match outcome with
-      | Ok v -> results.(i) <- Some v
-      | Error eb -> errors.(i) <- Some eb);
+      (match f xs.(i) with
+      | v -> results.(i) <- Some v
+      | exception e -> errors.(i) <- Some (e, Printexc.get_raw_backtrace ()));
       let elapsed = Unix.gettimeofday () -. started in
       (match timings with
       | None -> ()
-      | Some tg -> Timings.record tg ~label:name ~started ~waited ~attempts ~slept ~elapsed ());
+      | Some tg -> Timings.record tg ~label:name ~started ~waited ~elapsed ());
       let m = Obs.Metrics.default in
       Obs.Metrics.observe m "pool_task_queue_wait_seconds" waited;
       Obs.Metrics.observe m "pool_task_run_seconds" elapsed;
-      if attempts > 1 then Obs.Metrics.add m "pool_task_retries_total" (attempts - 1);
       Mutex.lock t.mutex;
       decr remaining;
       Condition.broadcast t.changed;
@@ -269,7 +165,5 @@ let parallel_map (type a b) ?(retry = no_retry) ?timings ?label t (f : a -> b)
     Array.map (function Some v -> v | None -> assert false) results
   end
 
-let parallel_list_map ?retry ?timings ?label t f xs =
-  Array.to_list (parallel_map ?retry ?timings ?label t f (Array.of_list xs))
-
-let run t f = (parallel_map t (fun g -> g ()) [| f |]).(0)
+let parallel_list_map ?timings ?label t f xs =
+  Array.to_list (parallel_map ?timings ?label t f (Array.of_list xs))

@@ -14,12 +14,6 @@ type entry = {
           separated from [elapsed] so queue pressure and task cost don't
           blur together *)
   elapsed : float;  (** wall-clock seconds of execution, excluding the wait *)
-  attempts : int;
-      (** attempts the retry policy spent on the task (1 = first try
-          succeeded) *)
-  slept : float;
-      (** seconds spent in backoff sleeps between those attempts —
-          separated from [elapsed] so flaky-task overhead is visible *)
 }
 
 type t
@@ -31,13 +25,11 @@ val record :
   label:string ->
   started:float ->
   ?waited:float ->
-  ?attempts:int ->
-  ?slept:float ->
   elapsed:float ->
   unit ->
   unit
-(** Append one entry ([waited] defaults to 0 for directly-run tasks,
-    [attempts] to 1, [slept] to 0). Safe to call from any domain. *)
+(** Append one entry ([waited] defaults to 0 for directly-run tasks).
+    Safe to call from any domain. *)
 
 val entries : t -> entry list
 (** All entries in start order. *)
@@ -54,6 +46,7 @@ val span : t -> float
 
 val report : t -> string
 (** A printable table: one row per task plus a summary line giving the
-    total task time, the span, and the achieved speedup (total/span). *)
+    total task time and the span. Their ratio is not reported: it
+    overstates the speedup whenever domains share a CPU. *)
 
 val pp : Format.formatter -> t -> unit

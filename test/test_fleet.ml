@@ -41,7 +41,7 @@ let test_config =
   {
     Fleet.Supervisor.default_config with
     Fleet.Supervisor.jobs = 2;
-    retry = { Par.Pool.no_retry with backoff = 0.001; max_backoff = 0.002 };
+    backoff = { Util.Backoff.base = 0.001; cap = 0.002; jitter = 0.0; seed = 0 };
   }
 
 let run_ok ?(config = test_config) ~state_dir spec =

@@ -164,6 +164,25 @@ let test_transient_retry () =
   check_bool "transients were actually injected" true
     (List.assoc "transient" (Ffs.Store.device_counts noisy) > 0)
 
+let test_retry_backoff_envelope () =
+  (* the resilient layer's sleeps: a pure function of (seed, attempt),
+     each within [0.5, 1.5] x min(2 ms, 0.1 ms * 2^(attempt-1)) *)
+  List.iter
+    (fun seed ->
+      for attempt = 1 to 8 do
+        let d = Ffs.Store.retry_delay ~seed ~attempt in
+        Alcotest.(check (float 0.0))
+          (Fmt.str "seed %d attempt %d deterministic" seed attempt)
+          d
+          (Ffs.Store.retry_delay ~seed ~attempt);
+        let base = Float.min 2e-3 (1e-4 *. (2. ** float_of_int (attempt - 1))) in
+        check_bool
+          (Fmt.str "seed %d attempt %d in envelope (%g vs base %g)" seed attempt d base)
+          true
+          (d >= (0.5 *. base) -. 1e-12 && d <= (1.5 *. base) +. 1e-12)
+      done)
+    [ 0; 5; 41; 960117 ]
+
 (* ------------------------------------------------------------------ *)
 (* Scrub-and-repair on a live file system                              *)
 (* ------------------------------------------------------------------ *)
@@ -299,6 +318,7 @@ let () =
         [
           tc "same seed, same damage" test_fault_determinism;
           tc "transient faults are retried away" test_transient_retry;
+          tc "retry backoff stays in its envelope" test_retry_backoff_envelope;
         ] );
       ( "scrub",
         [

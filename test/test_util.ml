@@ -1,5 +1,5 @@
-(* Tests for the util library: PRNG, distributions, statistics, charts,
-   CSV, vectors, units. *)
+(* Tests for the util library: PRNG, retry backoff, distributions,
+   statistics, charts, CSV, vectors, units. *)
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_int = Alcotest.(check int)
@@ -338,6 +338,38 @@ let prop_vec_roundtrip =
     QCheck.(array small_int)
     (fun a -> Util.Vec.to_array (Util.Vec.of_array a) = a)
 
+(* --- Backoff ----------------------------------------------------------------- *)
+
+let test_backoff_deterministic_and_bounded () =
+  let b = { Util.Backoff.base = 0.05; cap = 0.4; jitter = 0.25; seed = 9 } in
+  for attempt = 1 to 6 do
+    let d = Util.Backoff.delay b ~key:"vol-0001" ~attempt in
+    let d' = Util.Backoff.delay b ~key:"vol-0001" ~attempt in
+    Alcotest.(check (float 0.0)) (Fmt.str "attempt %d reproducible" attempt) d d';
+    let base = Float.min b.Util.Backoff.cap (0.05 *. (2. ** float_of_int (attempt - 1))) in
+    check_bool
+      (Fmt.str "attempt %d within jitter band (%.4f vs base %.4f)" attempt d base)
+      true
+      (d >= base *. 0.75 -. 1e-9 && d <= base *. 1.25 +. 1e-9)
+  done
+
+let test_backoff_exponential_then_capped () =
+  let b = { Util.Backoff.base = 0.05; cap = 0.4; jitter = 0.0; seed = 0 } in
+  let d n = Util.Backoff.delay b ~key:"x" ~attempt:n in
+  check_float "attempt 1 = base" 0.05 (d 1);
+  check_float "attempt 2 doubles" 0.1 (d 2);
+  check_float "attempt 3 doubles again" 0.2 (d 3);
+  check_float "attempt 4 hits the cap" 0.4 (d 4);
+  check_float "attempt 9 stays capped" 0.4 (d 9)
+
+let test_backoff_jitter_varies_by_label () =
+  let b = { Util.Backoff.base = 0.1; cap = 1.0; jitter = 0.5; seed = 3 } in
+  let delays =
+    List.map (fun key -> Util.Backoff.delay b ~key ~attempt:1) [ "a"; "b"; "c"; "d"; "e"; "f" ]
+  in
+  check_bool "labels don't all share one delay (no thundering herd)" true
+    (List.exists (fun d -> d <> List.hd delays) (List.tl delays))
+
 let prop_truncate_bounds =
   QCheck.Test.make ~name:"Dist.truncate clamps every sample" ~count:200
     QCheck.(triple small_int (float_bound_exclusive 100.0) (float_bound_exclusive 100.0))
@@ -366,6 +398,12 @@ let () =
           tc "shuffle permutation" test_prng_shuffle_permutation;
           tc "chance extremes" test_prng_chance_extremes;
           tc "pick_weighted" test_pick_weighted;
+        ] );
+      ( "backoff",
+        [
+          tc "deterministic and jitter-bounded" test_backoff_deterministic_and_bounded;
+          tc "exponential then capped" test_backoff_exponential_then_capped;
+          tc "jitter varies by label" test_backoff_jitter_varies_by_label;
         ] );
       ( "dist",
         [

@@ -7,172 +7,80 @@
 
    Usage:
      main.exe [--days N] [--seed N] [--jobs N] [--csv-dir DIR|--no-csv]
-              [--alloc-ops N] [--alloc-out PATH] [--fleet-out PATH]
-              [--backend-out PATH] [--scrub-out PATH] [EXPERIMENT ...]
+              [--rebaseline] [EXPERIMENT ...]
    where EXPERIMENT is one of: table1 fig1 fig2 fig3 fig4 fig5 fig6
-   table2 checks ablations lfs micro alloc fleet backend scrub. The
-   default runs everything at the paper's full scale (300 days; several
-   minutes). Exits 1 when a shape check fails or the alloc, fleet,
-   backend or scrub benchmark reports a regression. *)
+   table2 checks ablations lfs micro alloc fleet backend. The default
+   runs everything at the paper's full scale (300 days; several
+   minutes). Exits 1 when a shape check fails or the alloc, fleet or
+   backend benchmark fails its gate against BENCH_<name>.json;
+   FFS_BENCH_SKIP_BASELINE=1 skips only the gates' drop limits, and
+   --rebaseline rewrites the committed BENCH_<name>.json files. *)
 
 let experiments =
   [ "table1"; "fig1"; "fig2"; "fig3"; "fig4"; "fig5"; "fig6"; "table2"; "checks";
-    "ablations"; "lfs"; "micro"; "alloc"; "fleet"; "backend"; "scrub" ]
+    "ablations"; "lfs"; "micro"; "alloc"; "fleet"; "backend" ]
 
-(* --- allocation throughput (BENCH_alloc.json) ------------------------------ *)
+(* --- committed benchmarks (BENCH_<name>.json) -------------------------------- *)
 
-(* run the scan-vs-indexed allocation benchmark, compare against the
-   committed baseline in [out] (if any), then overwrite [out] with the
-   new figures. Returns false on a >20% regression of the indexed
-   allocs/sec — unless FFS_BENCH_ALLOC_SKIP_BASELINE=1, the escape
-   hatch for noisy CI machines. *)
-let run_alloc ~ops ~out =
-  print_endline "\n=== Allocation throughput: bitmap scan vs extent index ===\n";
-  let baseline =
-    if Sys.file_exists out then
-      let contents = In_channel.with_open_text out In_channel.input_all in
-      match Obs.Json.of_string contents with
-      | Ok j -> Some j
-      | Error msg ->
-          Fmt.epr "[bench] ignoring unreadable baseline %s: %s@." out msg;
-          None
-    else None
+module type GATED = sig
+  type result
+
+  val run : unit -> result
+  val pp : result Fmt.t
+  val pins : result -> (string * Obs.Json.t) list
+  val figures : result -> (string * float) list
+  val limits : (string * Benchlib.Gate.limit) list
+end
+
+let gated_benchmarks : (string * string * (module GATED)) list =
+  [
+    ( "alloc",
+      "Allocation throughput: bitmap scan vs extent index",
+      (module Benchlib.Alloc_bench) );
+    ( "fleet",
+      "Fleet supervision throughput: volumes/hour by jobs",
+      (module Benchlib.Fleet_bench) );
+    ( "backend",
+      "Storage backends: days/sec by backend, scrub MB/sec, checkpoint sizes",
+      (module Benchlib.Backend_bench) );
+  ]
+
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    Sys.mkdir dir 0o755
+  end
+
+(* run one committed benchmark and gate it against BENCH_<name>.json
+   (Benchlib.Gate). A gating run writes its record under _build/bench/
+   and never touches the committed baseline, so a second run cannot pass
+   against a lowered number; --rebaseline writes the committed file and
+   then checks against it, so its At_most budgets still apply. *)
+let gated ~rebaseline ~skip_baseline (name, title, (module B : GATED)) =
+  Fmt.pr "@.=== %s ===@.@." title;
+  let r = B.run () in
+  Fmt.pr "%a@." B.pp r;
+  let record =
+    {
+      Benchlib.Gate.benchmark = name;
+      detected_jobs = Benchlib.Gate.detected_jobs;
+      pins = B.pins r;
+      figures = B.figures r;
+    }
   in
-  let r = Benchlib.Alloc_bench.run ~ops () in
-  Fmt.pr "%a@." Benchlib.Alloc_bench.pp r;
-  Out_channel.with_open_text out (fun oc ->
-      Out_channel.output_string oc (Obs.Json.to_string (Benchlib.Alloc_bench.to_json r));
-      Out_channel.output_char oc '\n');
+  let baseline = Fmt.str "BENCH_%s.json" name in
+  let out = if rebaseline then baseline else Filename.concat "_build/bench" baseline in
+  mkdir_p (Filename.dirname out);
+  Benchlib.Gate.write out record;
   Fmt.pr "wrote %s@." out;
-  let skip = Sys.getenv_opt "FFS_BENCH_ALLOC_SKIP_BASELINE" = Some "1" in
-  match baseline with
-  | Some b when not skip -> (
-      match Benchlib.Alloc_bench.gate ~baseline:b r with
-      | Ok () -> true
-      | Error msg ->
-          Fmt.epr "[bench] %s@." msg;
-          false)
-  | Some _ ->
-      Fmt.pr "baseline gate skipped (FFS_BENCH_ALLOC_SKIP_BASELINE=1)@.";
+  match Benchlib.Gate.check ~skip_baseline ~limits:B.limits ~baseline record with
+  | Ok () ->
+      Fmt.pr "gate passed against %s%s@." baseline
+        (if skip_baseline then " (drop limits skipped: FFS_BENCH_SKIP_BASELINE=1)" else "");
       true
-  | None -> true
-
-(* --- fleet supervision throughput (BENCH_fleet.json) ----------------------- *)
-
-(* volumes aged per hour at --jobs 1/2/4 on the standard small fleet;
-   the run itself asserts the aggregate digest is identical at every
-   concurrency level. Same baseline-gate shape as run_alloc. *)
-let run_fleet_bench ~out =
-  print_endline "\n=== Fleet supervision throughput: volumes/hour by jobs ===\n";
-  let baseline =
-    if Sys.file_exists out then
-      let contents = In_channel.with_open_text out In_channel.input_all in
-      match Obs.Json.of_string contents with
-      | Ok j -> Some j
-      | Error msg ->
-          Fmt.epr "[bench] ignoring unreadable baseline %s: %s@." out msg;
-          None
-    else None
-  in
-  let r = Benchlib.Fleet_bench.run () in
-  Fmt.pr "%a@." Benchlib.Fleet_bench.pp r;
-  Out_channel.with_open_text out (fun oc ->
-      Out_channel.output_string oc (Obs.Json.to_string (Benchlib.Fleet_bench.to_json r));
-      Out_channel.output_char oc '\n');
-  Fmt.pr "wrote %s@." out;
-  let skip = Sys.getenv_opt "FFS_BENCH_FLEET_SKIP_BASELINE" = Some "1" in
-  match baseline with
-  | Some b when not skip -> (
-      match Benchlib.Fleet_bench.gate ~baseline:b r with
-      | Ok () -> true
-      | Error msg ->
-          Fmt.epr "[bench] %s@." msg;
-          false)
-  | Some _ ->
-      Fmt.pr "baseline gate skipped (FFS_BENCH_FLEET_SKIP_BASELINE=1)@.";
-      true
-  | None -> true
-
-(* --- storage backends (BENCH_backend.json) --------------------------------- *)
-
-(* days/sec aging the paper volume on the bytes and mmap backends, plus
-   full-vs-delta checkpoint sizes; the run itself asserts the aged image
-   digest is identical on every backend. Same baseline-gate shape as
-   run_alloc. *)
-let run_backend_bench ~out =
-  print_endline "\n=== Storage backends: days/sec by backend, checkpoint sizes ===\n";
-  let baseline =
-    if Sys.file_exists out then
-      let contents = In_channel.with_open_text out In_channel.input_all in
-      match Obs.Json.of_string contents with
-      | Ok j -> Some j
-      | Error msg ->
-          Fmt.epr "[bench] ignoring unreadable baseline %s: %s@." out msg;
-          None
-    else None
-  in
-  let r = Benchlib.Backend_bench.run () in
-  Fmt.pr "%a@." Benchlib.Backend_bench.pp r;
-  Out_channel.with_open_text out (fun oc ->
-      Out_channel.output_string oc
-        (Obs.Json.to_string (Benchlib.Backend_bench.to_json r));
-      Out_channel.output_char oc '\n');
-  Fmt.pr "wrote %s@." out;
-  let skip = Sys.getenv_opt "FFS_BENCH_BACKEND_SKIP_BASELINE" = Some "1" in
-  match baseline with
-  | Some b when not skip -> (
-      match Benchlib.Backend_bench.gate ~baseline:b r with
-      | Ok () -> true
-      | Error msg ->
-          Fmt.epr "[bench] %s@." msg;
-          false)
-  | Some _ ->
-      Fmt.pr "baseline gate skipped (FFS_BENCH_BACKEND_SKIP_BASELINE=1)@.";
-      true
-  | None -> true
-
-(* --- self-healing storage (BENCH_scrub.json) ------------------------------- *)
-
-(* checksummed-store overhead vs raw (the run asserts the two aged
-   images are bit-identical) and scrub MB/sec over the aged volume. The
-   overhead budget is absolute (<= 10%); the throughput gate has the
-   same baseline shape as run_alloc. *)
-let run_scrub_bench ~out =
-  print_endline "\n=== Self-healing storage: checksummed overhead, scrub MB/sec ===\n";
-  let baseline =
-    if Sys.file_exists out then
-      let contents = In_channel.with_open_text out In_channel.input_all in
-      match Obs.Json.of_string contents with
-      | Ok j -> Some j
-      | Error msg ->
-          Fmt.epr "[bench] ignoring unreadable baseline %s: %s@." out msg;
-          None
-    else None
-  in
-  let r = Benchlib.Scrub_bench.run () in
-  Fmt.pr "%a@." Benchlib.Scrub_bench.pp r;
-  Out_channel.with_open_text out (fun oc ->
-      Out_channel.output_string oc (Obs.Json.to_string (Benchlib.Scrub_bench.to_json r));
-      Out_channel.output_char oc '\n');
-  Fmt.pr "wrote %s@." out;
-  let skip = Sys.getenv_opt "FFS_BENCH_SCRUB_SKIP_BASELINE" = Some "1" in
-  match baseline with
-  | Some b when not skip -> (
-      match Benchlib.Scrub_bench.gate ~baseline:b r with
-      | Ok () -> true
-      | Error msg ->
-          Fmt.epr "[bench] %s@." msg;
-          false)
-  | Some _ ->
-      Fmt.pr "baseline gate skipped (FFS_BENCH_SCRUB_SKIP_BASELINE=1)@.";
-      true
-  | None -> (
-      (* first run: still enforce the absolute overhead budget *)
-      match Benchlib.Scrub_bench.gate ~baseline:Obs.Json.Null r with
-      | Ok () -> true
-      | Error msg ->
-          Fmt.epr "[bench] %s@." msg;
-          false)
+  | Error msg ->
+      Fmt.epr "[bench] %s@." msg;
+      false
 
 (* --- Bechamel microbenchmarks ---------------------------------------------- *)
 
@@ -303,11 +211,7 @@ let () =
   let seed = ref 960117 in
   let jobs = ref (Par.Pool.default_jobs ()) in
   let csv_dir = ref (Some "results") in
-  let alloc_ops = ref Benchlib.Alloc_bench.default_ops in
-  let alloc_out = ref "BENCH_alloc.json" in
-  let fleet_out = ref "BENCH_fleet.json" in
-  let backend_out = ref "BENCH_backend.json" in
-  let scrub_out = ref "BENCH_scrub.json" in
+  let rebaseline = ref false in
   let picked = ref [] in
   let rec parse = function
     | [] -> ()
@@ -326,20 +230,8 @@ let () =
     | "--no-csv" :: rest ->
         csv_dir := None;
         parse rest
-    | "--alloc-ops" :: v :: rest ->
-        alloc_ops := int_of_string v;
-        parse rest
-    | "--alloc-out" :: v :: rest ->
-        alloc_out := v;
-        parse rest
-    | "--fleet-out" :: v :: rest ->
-        fleet_out := v;
-        parse rest
-    | "--backend-out" :: v :: rest ->
-        backend_out := v;
-        parse rest
-    | "--scrub-out" :: v :: rest ->
-        scrub_out := v;
+    | "--rebaseline" :: rest ->
+        rebaseline := true;
         parse rest
     | exp :: rest when List.mem exp experiments ->
         picked := exp :: !picked;
@@ -394,12 +286,12 @@ let () =
   end;
   if wanted "lfs" then print_string (Benchlib.Lfs_compare.report ~seed:!seed ~pool ~timings ());
   if wanted "micro" then run_micro ();
-  let alloc_ok = if wanted "alloc" then run_alloc ~ops:!alloc_ops ~out:!alloc_out else true in
-  let fleet_ok = if wanted "fleet" then run_fleet_bench ~out:!fleet_out else true in
-  let backend_ok =
-    if wanted "backend" then run_backend_bench ~out:!backend_out else true
+  let skip_baseline = Sys.getenv_opt "FFS_BENCH_SKIP_BASELINE" = Some "1" in
+  let gates_ok =
+    List.filter (fun (name, _, _) -> wanted name) gated_benchmarks
+    |> List.map (gated ~rebaseline:!rebaseline ~skip_baseline)
+    |> List.for_all Fun.id
   in
-  let scrub_ok = if wanted "scrub" then run_scrub_bench ~out:!scrub_out else true in
   if not (Par.Timings.is_empty timings) then
     Fmt.pr "@.=== Task timings ===@.@.%s@." (Par.Timings.report timings);
-  if not (checks_ok && alloc_ok && fleet_ok && backend_ok && scrub_ok) then exit 1
+  if not (checks_ok && gates_ok) then exit 1

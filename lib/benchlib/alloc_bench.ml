@@ -1,9 +1,6 @@
 type side = { seconds : float; allocs : int; allocs_per_sec : float }
 
 type result = {
-  days : int;
-  seed : int;
-  ops : int;
   utilization : float;
   scan : side;
   indexed : side;
@@ -79,7 +76,8 @@ let timed f =
   f ();
   Unix.gettimeofday () -. t0
 
-let run ?(days = standard_days) ?(seed = standard_seed) ?(ops = default_ops) () =
+let run () =
+  let days = standard_days and seed = standard_seed and ops = default_ops in
   let params = Ffs.Params.small_test_fs in
   let fpb = params.Ffs.Params.frags_per_block in
   let profile =
@@ -114,18 +112,10 @@ let run ?(days = standard_days) ?(seed = standard_seed) ?(ops = default_ops) () 
       let s = timed (fun () -> r := replay cgs fpb schedule) in
       (!r, s)
     in
-    let rep () =
-      match mode with `Indexed -> one () | `Scan -> Ffs.Cg.with_reference_searches one
+    let (allocs, cksum), seconds =
+      Gate.best_of ~n:3 (fun () ->
+          match mode with `Indexed -> one () | `Scan -> Ffs.Cg.with_reference_searches one)
     in
-    let res0, s0 = rep () in
-    let seconds = ref s0 in
-    for _ = 2 to 3 do
-      let res, s = rep () in
-      if res <> res0 then failwith "alloc bench: repetitions diverged";
-      if s < !seconds then seconds := s
-    done;
-    let allocs, cksum = res0 in
-    let seconds = !seconds in
     ({ seconds; allocs; allocs_per_sec = float_of_int allocs /. seconds }, cksum)
   in
   let scan, ck_scan = measure `Scan in
@@ -133,9 +123,6 @@ let run ?(days = standard_days) ?(seed = standard_seed) ?(ops = default_ops) () 
   if ck_scan <> ck_indexed || scan.allocs <> indexed.allocs then
     failwith "alloc bench: scan and indexed placement traces diverged";
   {
-    days;
-    seed;
-    ops;
     utilization;
     scan;
     indexed;
@@ -143,57 +130,33 @@ let run ?(days = standard_days) ?(seed = standard_seed) ?(ops = default_ops) () 
     checksum = ck_scan;
   }
 
-let side_json s =
-  Obs.Json.Obj
-    [
-      ("seconds", Obs.Json.Float s.seconds);
-      ("allocs", Obs.Json.Int s.allocs);
-      ("allocs_per_sec", Obs.Json.Float s.allocs_per_sec);
-    ]
+let pins r =
+  [
+    ("fs", Obs.Json.String "small_test_fs");
+    ("days", Obs.Json.Int standard_days);
+    ("seed", Obs.Json.Int standard_seed);
+    ("ops", Obs.Json.Int default_ops);
+    ("utilization", Obs.Json.Float r.utilization);
+    ("allocs", Obs.Json.Int r.indexed.allocs);
+    ("checksum", Obs.Json.Int r.checksum);
+  ]
 
-let to_json r =
-  Obs.Json.Obj
-    ([
-      ("benchmark", Obs.Json.String "alloc");
-      ("image", Obs.Json.Obj
-          [
-            ("fs", Obs.Json.String "small_test_fs");
-            ("days", Obs.Json.Int r.days);
-            ("seed", Obs.Json.Int r.seed);
-            ("utilization", Obs.Json.Float r.utilization);
-          ]);
-      ("ops", Obs.Json.Int r.ops);
-      ("scan", side_json r.scan);
-      ("indexed", side_json r.indexed);
-      ("speedup", Obs.Json.Float r.speedup);
-      ("checksum", Obs.Json.Int r.checksum);
-    ]
-    @ Bench_env.json_fields ())
+let figures r =
+  [
+    ("scan_seconds", r.scan.seconds);
+    ("scan_allocs_per_sec", r.scan.allocs_per_sec);
+    ("indexed_seconds", r.indexed.seconds);
+    ("indexed_allocs_per_sec", r.indexed.allocs_per_sec);
+    ("speedup", r.speedup);
+  ]
+
+let limits = [ ("indexed_allocs_per_sec", Gate.Max_drop_pct 20.) ]
 
 let pp ppf r =
   Fmt.pf ppf
     "@[<v>alloc bench: %d ops on the standard aged image (%d days, seed %d, %.0f%% \
      full)@ scan:    %7.0f allocs/sec (%d allocs in %.3fs)@ indexed: %7.0f \
      allocs/sec (%d allocs in %.3fs)@ speedup: %.2fx@]"
-    r.ops r.days r.seed (100. *. r.utilization) r.scan.allocs_per_sec r.scan.allocs
-    r.scan.seconds r.indexed.allocs_per_sec r.indexed.allocs r.indexed.seconds r.speedup
-
-let indexed_allocs_per_sec json =
-  Option.bind (Obs.Json.member "indexed" json) (fun side ->
-      Option.bind (Obs.Json.member "allocs_per_sec" side) Obs.Json.to_float)
-
-let gate ~baseline r =
-  match indexed_allocs_per_sec baseline with
-  | None -> Ok ()
-  | Some old when old <= 0. -> Ok ()
-  | Some old ->
-      let now = r.indexed.allocs_per_sec in
-      if now >= 0.8 *. old then Ok ()
-      else
-        Error
-          (Fmt.str
-             "alloc bench regression: indexed %.0f allocs/sec is %.0f%% below the \
-              committed baseline %.0f (limit 20%%)"
-             now
-             (100. *. (1. -. (now /. old)))
-             old)
+    default_ops standard_days standard_seed (100. *. r.utilization)
+    r.scan.allocs_per_sec r.scan.allocs r.scan.seconds r.indexed.allocs_per_sec
+    r.indexed.allocs r.indexed.seconds r.speedup

@@ -10,9 +10,8 @@
     benchmark refuses to report a speedup between implementations that
     place differently — so the two timings differ only in search cost.
 
-    [bench/main.ml alloc] runs this and writes [BENCH_alloc.json];
-    [make bench-alloc] (under [make verify]) gates on >20% regression of
-    the indexed allocs/sec against the committed baseline. *)
+    [make bench-alloc] (under [make verify]) gates on a >20% drop of the
+    indexed allocs/sec against [BENCH_alloc.json] (see {!Gate}). *)
 
 type side = {
   seconds : float;
@@ -21,9 +20,6 @@ type side = {
 }
 
 type result = {
-  days : int;  (** aging days of the standard image *)
-  seed : int;  (** workload seed of the standard image *)
-  ops : int;  (** schedule length (allocs + frees) *)
   utilization : float;  (** aged-image fragment utilization, 0..1 *)
   scan : side;
   indexed : side;
@@ -31,22 +27,13 @@ type result = {
   checksum : int;  (** placement-trace checksum (equal in both modes) *)
 }
 
-val standard_days : int
-val standard_seed : int
-val default_ops : int
+val run : unit -> result
+(** Build the standard aged image (10 days, seed 960117) and measure
+    both modes over a 200,000-op schedule, best of 3 each. Raises
+    [Failure] if the two placement traces diverge (the differential
+    suite's invariant, enforced again here at benchmark time). *)
 
-val run : ?days:int -> ?seed:int -> ?ops:int -> unit -> result
-(** Build the aged image and measure both modes. Raises [Failure] if the
-    two placement traces diverge (the differential suite's invariant,
-    enforced again here at benchmark time). *)
-
-val to_json : result -> Obs.Json.t
+val pins : result -> (string * Obs.Json.t) list
+val figures : result -> (string * float) list
+val limits : (string * Gate.limit) list
 val pp : Format.formatter -> result -> unit
-
-val indexed_allocs_per_sec : Obs.Json.t -> float option
-(** Extract the gating figure from a (possibly older) BENCH_alloc.json. *)
-
-val gate : baseline:Obs.Json.t -> result -> (unit, string) Stdlib.result
-(** [Ok ()] if the new indexed allocs/sec is within 20% of the committed
-    baseline's (or the baseline has no readable figure); [Error msg]
-    describes the regression otherwise. *)

@@ -1,40 +1,22 @@
 type level = { jobs : int; seconds : float; volumes_per_hour : float }
 
-type result = {
-  volumes : int;
-  days : int;
-  seed : int;
-  digest : int32;
-  levels : level list;
-}
+type result = { digest : int32; levels : level list }
 
-let standard_volumes = 12
-let standard_days = 2
-let standard_seed = 960117
-let default_jobs_levels = Bench_env.default_jobs_levels
+let volumes = 12
+let days = 2
+let seed = 960117
+let jobs_levels = [ 1; 2; 4 ]
 
-let rec rm_rf path =
-  match (Unix.lstat path).Unix.st_kind with
-  | Unix.S_DIR ->
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let run ?(volumes = standard_volumes) ?(days = standard_days) ?(seed = standard_seed)
-    ?jobs_levels () =
-  let jobs_levels =
-    match jobs_levels with Some l -> l | None -> Bench_env.jobs_levels ()
-  in
+let run () =
   let spec = Fleet.Spec.generate ~fault_rate:0.5 ~volumes ~days ~seed () in
   let measure jobs =
     let state_dir =
       Filename.concat (Filename.get_temp_dir_name ())
         (Fmt.str "ffs-fleet-bench-%d-j%d" (Unix.getpid ()) jobs)
     in
-    rm_rf state_dir;
+    Gate.rm_rf state_dir;
     Fun.protect
-      ~finally:(fun () -> rm_rf state_dir)
+      ~finally:(fun () -> Gate.rm_rf state_dir)
       (fun () ->
         let config = { Fleet.Supervisor.default_config with Fleet.Supervisor.jobs } in
         let t0 = Unix.gettimeofday () in
@@ -51,82 +33,44 @@ let run ?(volumes = standard_volumes) ?(days = standard_days) ?(seed = standard_
               agg.Fleet.Manifest.digest ))
   in
   let measured = List.map measure jobs_levels in
-  let digests = List.map snd measured in
+  let digest = snd (List.hd measured) in
   (* the determinism claim the bench rides on: concurrency level must
      not change a single bit of the aggregate outcome *)
-  (match digests with
-  | [] -> ()
-  | d :: rest ->
-      if List.exists (fun d' -> d' <> d) rest then
-        failwith
-          (Fmt.str "fleet bench: aggregate digests diverged across jobs levels: %s"
-             (String.concat " "
-                (List.map2
-                   (fun l d -> Fmt.str "j%d=0x%08lx" l.jobs d)
-                   (List.map fst measured) digests))));
-  {
-    volumes;
-    days;
-    seed;
-    digest = List.hd digests;
-    levels = List.map fst measured;
-  }
+  if List.exists (fun (_, d) -> d <> digest) measured then
+    failwith
+      (Fmt.str "fleet bench: aggregate digests diverged across jobs levels: %s"
+         (String.concat " "
+            (List.map (fun (l, d) -> Fmt.str "j%d=0x%08lx" l.jobs d) measured)));
+  { digest; levels = List.map fst measured }
 
-let to_json r =
-  Obs.Json.Obj
-    ([
-      ("benchmark", Obs.Json.String "fleet");
-      ("volumes", Obs.Json.Int r.volumes);
-      ("days", Obs.Json.Int r.days);
-      ("seed", Obs.Json.Int r.seed);
-      ("digest", Obs.Json.String (Fmt.str "0x%08lx" r.digest));
-      ( "levels",
-        Obs.Json.List
-          (List.map
-             (fun l ->
-               Obs.Json.Obj
-                 [
-                   ("jobs", Obs.Json.Int l.jobs);
-                   ("seconds", Obs.Json.Float l.seconds);
-                   ("volumes_per_hour", Obs.Json.Float l.volumes_per_hour);
-                 ])
-             r.levels) );
+let pins r =
+  [
+    ("volumes", Obs.Json.Int volumes);
+    ("days", Obs.Json.Int days);
+    ("seed", Obs.Json.Int seed);
+    ("jobs_levels", Obs.Json.List (List.map (fun j -> Obs.Json.Int j) jobs_levels));
+    ("digest", Obs.Json.String (Fmt.str "0x%08lx" r.digest));
+  ]
+
+let figures r =
+  List.concat_map
+    (fun l ->
+      [
+        (Fmt.str "j%d_seconds" l.jobs, l.seconds);
+        (Fmt.str "j%d_volumes_per_hour" l.jobs, l.volumes_per_hour);
+      ])
+    r.levels
+  @ [
+      ( "best_volumes_per_hour",
+        List.fold_left (fun a l -> Float.max a l.volumes_per_hour) 0.0 r.levels );
     ]
-    @ Bench_env.json_fields ())
+
+let limits = [ ("best_volumes_per_hour", Gate.Max_drop_pct 30.) ]
 
 let pp ppf r =
   Fmt.pf ppf "@[<v>fleet bench: %d volumes x %d days (seed %d), digest 0x%08lx@ %a@]"
-    r.volumes r.days r.seed r.digest
+    volumes days seed r.digest
     (Fmt.list ~sep:Fmt.cut (fun ppf l ->
          Fmt.pf ppf "jobs %d: %8.0f volumes/hour (%.3fs)" l.jobs l.volumes_per_hour
            l.seconds))
     r.levels
-
-let best_volumes_per_hour json =
-  match Obs.Json.member "levels" json with
-  | Some (Obs.Json.List levels) ->
-      List.fold_left
-        (fun acc l ->
-          match Option.bind (Obs.Json.member "volumes_per_hour" l) Obs.Json.to_float with
-          | Some v -> Some (match acc with None -> v | Some a -> Float.max a v)
-          | None -> acc)
-        None levels
-  | _ -> None
-
-let gate ~baseline r =
-  match best_volumes_per_hour baseline with
-  | None -> Ok ()
-  | Some old when old <= 0. -> Ok ()
-  | Some old ->
-      let now =
-        List.fold_left (fun a l -> Float.max a l.volumes_per_hour) 0.0 r.levels
-      in
-      if now >= 0.7 *. old then Ok ()
-      else
-        Error
-          (Fmt.str
-             "fleet bench regression: %.0f volumes/hour is %.0f%% below the committed \
-              baseline %.0f (limit 30%%)"
-             now
-             (100. *. (1. -. (now /. old)))
-             old)

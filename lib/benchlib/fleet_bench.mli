@@ -9,27 +9,20 @@
 type level = { jobs : int; seconds : float; volumes_per_hour : float }
 
 type result = {
-  volumes : int;
-  days : int;
-  seed : int;
   digest : int32;  (** aggregate digest, equal across all levels *)
   levels : level list;
 }
 
-val standard_volumes : int
-val standard_days : int
-val standard_seed : int
-val default_jobs_levels : int list
-
-val run :
-  ?volumes:int -> ?days:int -> ?seed:int -> ?jobs_levels:int list -> unit -> result
-(** Ages the same fleet spec once per jobs level in throwaway state
+val run : unit -> result
+(** Ages the standard fleet (12 volumes x 2 days, seed 960117, fault
+    rate 0.5) once per jobs level 1, 2 and 4 in throwaway state
     directories. Raises [Failure] if any volume fails to complete or
     the digests diverge across levels. *)
 
-val to_json : result -> Obs.Json.t
-val pp : Format.formatter -> result -> unit
+val pins : result -> (string * Obs.Json.t) list
+val figures : result -> (string * float) list
 
-val gate : baseline:Obs.Json.t -> result -> (unit, string) Stdlib.result
-(** [Ok ()] unless the best volumes/hour dropped more than 30% below
-    the committed baseline (parsed from a previous run's [to_json]). *)
+val limits : (string * Gate.limit) list
+(** The best volumes/hour may drop at most 30% below the baseline. *)
+
+val pp : Format.formatter -> result -> unit

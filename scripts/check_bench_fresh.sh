@@ -1,14 +1,12 @@
 #!/bin/sh
 # Stale-benchmark guard for CI.
 #
-# `make verify` regenerates every committed benchmark baseline
-# (BENCH_alloc.json, BENCH_fleet.json, BENCH_backend.json,
-# BENCH_scrub.json) as a
-# side effect of gating against it. A verify run that somehow skipped a
-# benchmark would leave the committed file untouched and the gate
-# silently green — so CI touches a stamp file before verify and this
-# script fails unless every baseline exists, is non-empty, and is newer
-# than the stamp.
+# Every gated benchmark in `make verify` writes its run's record to
+# _build/bench/BENCH_<name>.json (the committed BENCH_<name>.json is
+# only read). A verify run that somehow skipped a benchmark would leave
+# no fresh record and the gate silently green — so CI touches a stamp
+# file before verify and this script fails unless every record exists,
+# is non-empty, and is newer than the stamp.
 #
 # Usage: scripts/check_bench_fresh.sh STAMP_FILE [BENCH_FILE ...]
 
@@ -26,9 +24,10 @@ if [ ! -e "$stamp" ]; then
     exit 2
 fi
 
-# default to the full committed set
+# default to the full gated set
 if [ "$#" -eq 0 ]; then
-    set -- BENCH_alloc.json BENCH_fleet.json BENCH_backend.json BENCH_scrub.json
+    set -- _build/bench/BENCH_alloc.json _build/bench/BENCH_fleet.json \
+        _build/bench/BENCH_backend.json
 fi
 
 fail=0

@@ -1,6 +1,7 @@
 (* Integration tests for the benchmark layer: the sequential-I/O and
-   hot-file benchmarks on a small aged image, and the experiment
-   drivers end-to-end at reduced scale. *)
+   hot-file benchmarks on a small aged image, the experiment drivers
+   end-to-end at reduced scale, and the committed benchmarks' gate on
+   hand-made records. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -154,6 +155,108 @@ let test_experiments_end_to_end () =
   let checks = Benchlib.Experiments.shape_checks ctx in
   check_bool "checks produced" true (List.length checks >= 8)
 
+(* --- Gate (hand-made records; no benchmark runs) ---------------------------------- *)
+
+module Gate = Benchlib.Gate
+
+let record ?(benchmark = "demo") ?(pins = [ ("digest", Obs.Json.String "abc") ]) figures =
+  { Gate.benchmark; detected_jobs = 2; pins; figures }
+
+let ops n = record [ ("ops_per_sec", n) ]
+let drop20 = [ ("ops_per_sec", Gate.Max_drop_pct 20.) ]
+
+(* write [baseline] to a fresh file and check [run] against it *)
+let check_against ?(skip_baseline = false) ?(limits = drop20) baseline run =
+  let path = Filename.temp_file "ffs_gate" ".json" in
+  Gate.write path baseline;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () -> (path, Gate.check ~skip_baseline ~limits ~baseline:path run))
+
+let fails (_, r) = Result.is_error r
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let test_gate_drop_limit () =
+  check_bool "19% drop passes" false (fails (check_against (ops 100.) (ops 81.)));
+  (match check_against (ops 100.) (ops 79.) with
+  | _, Ok () -> Alcotest.fail "a 21% drop passed a 20% limit"
+  | path, Error msg ->
+      check_bool "names the figure" true (contains msg "ops_per_sec");
+      check_bool "names the file" true (contains msg path));
+  check_bool "skip switch waives the drop limit" false
+    (fails (check_against ~skip_baseline:true (ops 100.) (ops 79.)))
+
+let test_gate_budget_ignores_skip () =
+  let limits = [ ("overhead_pct", Gate.At_most 10.) ] in
+  let overhead x = record [ ("overhead_pct", x) ] in
+  check_bool "budget exceeded under the skip switch" true
+    (fails (check_against ~skip_baseline:true ~limits (overhead 1.) (overhead 10.5)));
+  check_bool "within budget" false
+    (fails (check_against ~skip_baseline:true ~limits (overhead 1.) (overhead 9.9)))
+
+let test_gate_pin_mismatch () =
+  let run pins = record ~pins [ ("ops_per_sec", 100.) ] in
+  check_bool "pin mismatch fails" true
+    (fails
+       (check_against ~skip_baseline:true (ops 100.)
+          (run [ ("digest", Obs.Json.String "abd") ])));
+  check_bool "missing pin fails" true (fails (check_against (ops 100.) (run [])))
+
+let test_gate_bad_baseline () =
+  let missing = Filename.concat (Filename.get_temp_dir_name ()) "ffs-gate-no-such-file.json" in
+  (match Gate.check ~skip_baseline:true ~limits:drop20 ~baseline:missing (ops 100.) with
+  | Ok () -> Alcotest.fail "a missing baseline passed"
+  | Error msg -> check_bool "names the file" true (contains msg missing));
+  let garbage = Filename.temp_file "ffs_gate" ".json" in
+  Out_channel.with_open_text garbage (fun oc ->
+      Out_channel.output_string oc "{\"benchmark\":");
+  let r = Gate.check ~skip_baseline:true ~limits:drop20 ~baseline:garbage (ops 100.) in
+  Sys.remove garbage;
+  check_bool "unparsable baseline" true (Result.is_error r);
+  check_bool "another benchmark's baseline" true
+    (fails (check_against (record ~benchmark:"other" [ ("ops_per_sec", 100.) ]) (ops 100.)));
+  check_bool "baseline lacks the gated figure" true
+    (fails (check_against ~skip_baseline:true (record []) (ops 100.)))
+
+let test_gate_round_trip () =
+  let r =
+    record
+      ~pins:
+        [
+          ("days", Obs.Json.Int 4);
+          ("utilization", Obs.Json.Float 0.70913461538461542);
+          ("levels", Obs.Json.List [ Obs.Json.Int 1; Obs.Json.Int 2 ]);
+        ]
+      [ ("seconds", 0.039287090301513672); ("speedup", 6.0); ("per_sec", 2037997.7082933816) ]
+  in
+  let path = Filename.temp_file "ffs_gate" ".json" in
+  Gate.write path r;
+  let back = Gate.read path in
+  Sys.remove path;
+  check_bool "write then read is identity" true (back = Ok r)
+
+let test_best_of () =
+  let times = ref [ 0.3; 0.1; 0.2 ] in
+  let next () =
+    let t = List.hd !times in
+    times := List.tl !times;
+    t
+  in
+  let r, best = Gate.best_of ~n:3 (fun () -> ("same", next ())) in
+  check_bool "first result, fastest time" true (r = "same" && best = 0.1);
+  let k = ref 0 in
+  match
+    Gate.best_of ~n:3 (fun () ->
+        incr k;
+        (!k, 0.1))
+  with
+  | _ -> Alcotest.fail "diverging repetitions were accepted"
+  | exception Failure _ -> ()
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   let slow name f = Alcotest.test_case name `Slow f in
@@ -174,4 +277,13 @@ let () =
           tc "by size" test_hotfiles_by_size;
         ] );
       ("experiments", [ slow "end to end (reduced scale)" test_experiments_end_to_end ]);
+      ( "gate",
+        [
+          tc "drop limit" test_gate_drop_limit;
+          tc "budget ignores skip switch" test_gate_budget_ignores_skip;
+          tc "pin mismatch" test_gate_pin_mismatch;
+          tc "bad baseline" test_gate_bad_baseline;
+          tc "json round trip" test_gate_round_trip;
+          tc "best_of" test_best_of;
+        ] );
     ]

@@ -157,8 +157,10 @@ chaos-soak:
 	@echo "chaos soak: OK"
 
 # the paper-geometry aging run timed on the bytes, mmap and resilient
-# (checksummed) stores, best of 3 each, plus a scrub pass over the aged
-# resilient volume and same-moment full vs delta checkpoint sizes.
+# (checksummed) stores (mmap best of 3; bytes and resilient in 7
+# back-to-back pairs, the overhead being the median of the pairs'
+# ratios), plus a scrub pass over the aged resilient volume and
+# same-moment full vs delta checkpoint sizes.
 # Asserts every backend produces the same image digest and allocation
 # totals; the best bytes/mmap days/sec and the scrub MB/sec may each
 # drop at most 30%, and the resilient overhead over bytes is at most 10%

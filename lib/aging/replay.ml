@@ -109,7 +109,10 @@ let skip_if_full e op = function
 
 let apply e op =
   Ffs.Fs.set_time e.fs (Workload.Op.time_of op);
-  Obs.Metrics.inc metrics ~labels:[ ("kind", op_kind op) ] "replay_ops_total";
+  (* the label list is built only for a live registry: replay is the
+     hottest loop and metrics are usually off *)
+  if Obs.Metrics.enabled metrics then
+    Obs.Metrics.inc metrics ~labels:[ ("kind", op_kind op) ] "replay_ops_total";
   match op with
   | Workload.Op.Create { ino; size; _ } -> (
       match Hashtbl.find_opt e.ino_map ino with
@@ -120,7 +123,7 @@ let apply e op =
           let ipg = Ffs.Params.inodes_per_group (Ffs.Fs.params e.fs) in
           let cg = ino / ipg mod Array.length e.group_dirs in
           let dir = e.group_dirs.(cg) in
-          Ffs.Fs.create_file e.fs ~dir ~name:(Fmt.str "f%d" ino) ~size
+          Ffs.Fs.create_file e.fs ~dir ~name:("f" ^ string_of_int ino) ~size
           |> Result.map (fun inum -> Hashtbl.replace e.ino_map ino inum)
           |> skip_if_full e op)
   | Workload.Op.Delete { ino; _ } -> (

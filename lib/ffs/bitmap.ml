@@ -130,27 +130,27 @@ let clear_range t ~pos ~len =
     incr i
   done
 
+(* [all_clear]/[all_set] loops, top level so a probe allocates no
+   closure: is every bit of [\[i, stop)] clear (set)? *)
+let rec clear_from t i stop =
+  i >= stop
+  ||
+  if i land 7 = 0 && stop - i >= 8 then byte t (i lsr 3) = '\000' && clear_from t (i + 8) stop
+  else (not (get t i)) && clear_from t (i + 1) stop
+
+let rec set_from t i stop =
+  i >= stop
+  ||
+  if i land 7 = 0 && stop - i >= 8 then byte t (i lsr 3) = '\255' && set_from t (i + 8) stop
+  else get t i && set_from t (i + 1) stop
+
 let all_clear t ~pos ~len =
   assert (pos >= 0 && len >= 0 && pos + len <= t.len);
-  let stop = pos + len in
-  let rec loop i =
-    i >= stop
-    ||
-    if i land 7 = 0 && stop - i >= 8 then byte t (i lsr 3) = '\000' && loop (i + 8)
-    else (not (get t i)) && loop (i + 1)
-  in
-  loop pos
+  clear_from t pos (pos + len)
 
 let all_set t ~pos ~len =
   assert (pos >= 0 && len >= 0 && pos + len <= t.len);
-  let stop = pos + len in
-  let rec loop i =
-    i >= stop
-    ||
-    if i land 7 = 0 && stop - i >= 8 then byte t (i lsr 3) = '\255' && loop (i + 8)
-    else get t i && loop (i + 1)
-  in
-  loop pos
+  set_from t pos (pos + len)
 
 let popcount_byte =
   let table = Array.make 256 0 in

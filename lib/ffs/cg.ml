@@ -344,25 +344,27 @@ let with_reference_searches f =
 let alloc_block_with s t ~pref =
   if t.nbfree = 0 then None
   else begin
+    let n = data_blocks t in
     let chosen =
       match pref with
-      | Some b when block_is_free t (b mod data_blocks t) ->
+      | Some b when block_is_free t (b mod n) ->
           Obs.Metrics.inc metrics "ffs_alloc_pref_hit_total";
-          Some (b mod data_blocks t)
+          (* the common case: hand back the caller's option, not a new one *)
+          if b mod n = b then pref else Some (b mod n)
       | Some b -> (
           Obs.Metrics.inc metrics "ffs_alloc_pref_miss_total";
-          let b = b mod data_blocks t in
+          let b = b mod n in
           match s.free_in_cylinder t ~pref:b with
           | Some _ as r -> r
           | None -> s.free_block_wrap t ~start:b)
       | None -> s.free_block_wrap t ~start:t.rotor
     in
-    match chosen with
-    | None -> None
+    (match chosen with
+    | None -> ()
     | Some b ->
         claim_frags t ~pos:(b * fpb t) ~count:(fpb t);
-        t.rotor <- (b + 1) mod data_blocks t;
-        Some b
+        t.rotor <- (b + 1) mod n);
+    chosen
   end
 
 let free_block t b = free_frags t ~pos:(b * fpb t) ~count:(fpb t)
@@ -416,11 +418,12 @@ let alloc_cluster_with s t ~policy ~pref ~len =
     | None -> None
     | Some b ->
         claim_frags t ~pos:(b * fpb t) ~count:(len * fpb t);
-        Obs.Metrics.inc metrics
-          ~labels:
-            [ ("policy", match policy with `First_fit -> "first_fit" | `Best_fit -> "best_fit") ]
-          "ffs_alloc_clusters_total";
-        Some b
+        if Obs.Metrics.enabled metrics then
+          Obs.Metrics.inc metrics
+            ~labels:
+              [ ("policy", match policy with `First_fit -> "first_fit" | `Best_fit -> "best_fit") ]
+            "ffs_alloc_clusters_total";
+        found
   end
 
 let alloc_block t ~pref = alloc_block_with !current_searches t ~pref

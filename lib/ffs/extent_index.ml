@@ -20,30 +20,33 @@ module Hier = struct
   let clear_all t = Array.iter (fun lv -> Array.fill lv 0 (Array.length lv) 0) t.levels
   let mem t i = t.levels.(0).(i / word) land (1 lsl (i mod word)) <> 0
 
+  (* set bit [i] of level [k], then its summary bits while the words
+     they summarise were empty *)
+  let rec set_from levels k i =
+    if k < Array.length levels then begin
+      let w = i / word in
+      let old = levels.(k).(w) in
+      levels.(k).(w) <- old lor (1 lsl (i mod word));
+      if old = 0 then set_from levels (k + 1) w
+    end
+
   let set t i =
     assert (i >= 0 && i < t.n);
-    let rec go k i =
-      if k < Array.length t.levels then begin
-        let w = i / word in
-        let old = t.levels.(k).(w) in
-        t.levels.(k).(w) <- old lor (1 lsl (i mod word));
-        (* the word was empty: its summary bit above is not yet set *)
-        if old = 0 then go (k + 1) w
-      end
-    in
-    go 0 i
+    set_from t.levels 0 i
+
+  (* clear bit [i] of level [k], then its summary bits while the words
+     they summarise became empty *)
+  let rec clear_from levels k i =
+    if k < Array.length levels then begin
+      let w = i / word in
+      let now = levels.(k).(w) land lnot (1 lsl (i mod word)) in
+      levels.(k).(w) <- now;
+      if now = 0 then clear_from levels (k + 1) w
+    end
 
   let clear t i =
     assert (i >= 0 && i < t.n);
-    let rec go k i =
-      if k < Array.length t.levels then begin
-        let w = i / word in
-        let now = t.levels.(k).(w) land lnot (1 lsl (i mod word)) in
-        t.levels.(k).(w) <- now;
-        if now = 0 then go (k + 1) w
-      end
-    in
-    go 0 i
+    clear_from t.levels 0 i
 
   (* index of the lowest set bit (x <> 0, bits 0..62) *)
   let lowest_set x =
@@ -56,28 +59,29 @@ module Hier = struct
     if !x land 0x1 = 0 then incr i;
     !i
 
+  (* first set bit at or after bit [i] of level [k], or -1: climb to
+     the first nonempty word, then descend back to its lowest set bit *)
+  let rec succ_from levels k i =
+    let lv = levels.(k) in
+    let w = i / word in
+    if w >= Array.length lv then -1
+    else begin
+      let masked = lv.(w) land ((-1) lsl (i mod word)) in
+      if masked <> 0 then (w * word) + lowest_set masked
+      else if k + 1 >= Array.length levels then -1
+      else begin
+        let j = succ_from levels (k + 1) (w + 1) in
+        if j < 0 then -1 else (j * word) + lowest_set lv.(j)
+      end
+    end
+
   (* first set bit at index >= i, or None *)
   let succ t i =
     let i = max i 0 in
     if i >= t.n then None
     else begin
-      let nlevels = Array.length t.levels in
-      (* climb: find the first nonempty word at or after bit [i] of
-         level [k], then descend back to its lowest set bit *)
-      let rec up k i =
-        let w = i / word in
-        if w >= Array.length t.levels.(k) then None
-        else begin
-          let masked = t.levels.(k).(w) land ((-1) lsl (i mod word)) in
-          if masked <> 0 then Some ((w * word) + lowest_set masked)
-          else if k + 1 >= nlevels then None
-          else
-            match up (k + 1) (w + 1) with
-            | None -> None
-            | Some j -> Some ((j * word) + lowest_set t.levels.(k).(j))
-        end
-      in
-      match up 0 i with Some j when j < t.n -> Some j | _ -> None
+      let j = succ_from t.levels 0 i in
+      if j >= 0 && j < t.n then Some j else None
     end
 
   (* every summary bit must equal "the word below is nonzero" *)

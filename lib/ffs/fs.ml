@@ -24,8 +24,25 @@ type dir_state = {
   mutable live_entries : int;
 }
 
+(* Derived geometry the per-block address conversions need. [Params]
+   recomputes each figure (a chain of divisions) on every call, so the
+   volume caches them once; they are never persisted. *)
+type geometry = {
+  g_fpg : int;  (* fragments per group *)
+  g_meta : int;  (* metadata fragments at the start of each group *)
+  g_ipg : int;  (* inodes per group *)
+}
+
+let geometry_of params =
+  {
+    g_fpg = Params.frags_per_group params;
+    g_meta = Params.metadata_frags params;
+    g_ipg = Params.inodes_per_group params;
+  }
+
 type t = {
   params : Params.t;
+  geo : geometry;
   store : Store.t;
       (* the volume's persisted metadata bytes (every cg's bitmaps);
          chunk index = cg index, so [Store.dirty_chunks] is the delta
@@ -46,6 +63,10 @@ type t = {
 (* Record one journal step if a recording is open (one option check per
    metadata write otherwise — the aging hot path stays unaffected). *)
 let jot t step = match t.jrec with Some r -> r := step :: !r | None -> ()
+
+(* Is a recording open? Hot paths test this before building a step, so
+   an unrecorded write allocates nothing for the journal. *)
+let journaling t = Option.is_some t.jrec
 
 let record_journal t f =
   assert (t.jrec = None);
@@ -84,16 +105,19 @@ let fresh_stats () =
 (* --- address conversion ------------------------------------------------ *)
 
 let fpb t = t.params.Params.frags_per_block
-let ipg t = Params.inodes_per_group t.params
+let ipg t = t.geo.g_ipg
+
+(* [Params.data_base], from the cached geometry *)
+let data_base t cg = (cg * t.geo.g_fpg) + t.geo.g_meta
 
 (* global fragment address of local data fragment [f] in group [cg] *)
-let global_of_local t ~cg ~frag = Params.data_base t.params cg + frag
+let global_of_local t ~cg ~frag = data_base t cg + frag
 
-let cg_of_global t addr = Params.group_of_frag t.params addr
+let cg_of_global t addr = addr / t.geo.g_fpg
 
 let local_of_global t addr =
   let cg = cg_of_global t addr in
-  let frag = addr - Params.data_base t.params cg in
+  let frag = addr - data_base t cg in
   assert (frag >= 0 && frag < Cg.data_frags t.cgs.(cg));
   (cg, frag)
 
@@ -101,144 +125,149 @@ let cg_of_inum t inum = inum / ipg t
 
 (* --- inode allocation --------------------------------------------------- *)
 
-let alloc_inode_near t ~cg =
+(* an inode from group [c], if it has one free *)
+let alloc_inode_in t c =
+  match Cg.alloc_inode t.cgs.(c) with
+  | Some local ->
+      Obs.Metrics.inc metrics "ffs_alloc_inodes_total";
+      let inum = (c * ipg t) + local in
+      jot t (Journal.Inode_slot_set { inum });
+      Some inum
+  | None -> None
+
+(* The FFS cylinder-group overflow order once the preferred group [cg]
+   has come up empty: quadratic rehash, then brute force. [f] gets the
+   group index and must return [None] to mean "nothing here". Callers
+   try the preferred group themselves first, so the common case builds
+   no closure. *)
+let probe_other_groups t ~cg ~f =
   let ncg = t.params.Params.ncg in
-  let try_cg c =
-    match Cg.alloc_inode t.cgs.(c) with
-    | Some local ->
-        Obs.Metrics.inc metrics "ffs_alloc_inodes_total";
-        let inum = (c * ipg t) + local in
-        jot t (Journal.Inode_slot_set { inum });
-        Some inum
-    | None -> None
-  in
   let rec quadratic c i =
     if i >= ncg then None
     else begin
       let c = (c + i) mod ncg in
-      match try_cg c with Some _ as r -> r | None -> quadratic c (i * 2)
+      match f c with Some _ as r -> r | None -> quadratic c (i * 2)
     end
   in
   let rec brute c i =
     if i >= ncg then None
-    else
-      match try_cg (c mod ncg) with Some _ as r -> r | None -> brute (c + 1) (i + 1)
+    else match f (c mod ncg) with Some _ as r -> r | None -> brute (c + 1) (i + 1)
   in
-  match try_cg cg with
+  match quadratic cg 1 with Some _ as r -> r | None -> brute (cg + 2) 2
+
+let alloc_inode_near t ~cg =
+  match alloc_inode_in t cg with
   | Some _ as r -> r
-  | None -> (
-      match quadratic cg 1 with Some _ as r -> r | None -> brute (cg + 2) 2)
+  | None -> probe_other_groups t ~cg ~f:(alloc_inode_in t)
 
 (* --- block and fragment allocation ------------------------------------- *)
 
 (* total free blocks across the file system (27 groups: cheap to sum) *)
 let total_free_blocks t = Array.fold_left (fun acc cg -> acc + Cg.free_block_count cg) 0 t.cgs
 
-(* [hashalloc t ~cg ~f] is the FFS cylinder-group overflow discipline:
-   the preferred group, then quadratic rehash, then brute force. [f] gets
-   the group index and must return [None] to mean "nothing here". *)
-let hashalloc t ~cg ~f =
-  let ncg = t.params.Params.ncg in
-  match f cg with
-  | Some _ as r -> r
-  | None ->
-      let rec quadratic c i =
-        if i >= ncg then None
-        else begin
-          let c = (c + i) mod ncg in
-          match f c with Some _ as r -> r | None -> quadratic c (i * 2)
-        end
-      in
-      let rec brute c i =
-        if i >= ncg then None
-        else match f (c mod ncg) with Some _ as r -> r | None -> brute (c + 1) (i + 1)
-      in
-      let result =
-        match quadratic cg 1 with Some _ as r -> r | None -> brute (cg + 2) 2
-      in
-      (match result with
-      | Some _ ->
-          t.stats.cg_fallbacks <- t.stats.cg_fallbacks + 1;
-          Obs.Metrics.inc metrics "ffs_alloc_cg_fallbacks_total"
-      | None -> ());
-      result
+(* [probe_other_groups] for a data allocation, counted as a fallback
+   when it succeeds *)
+let rehash t ~cg ~f =
+  let result = probe_other_groups t ~cg ~f in
+  (match result with
+  | Some _ ->
+      t.stats.cg_fallbacks <- t.stats.cg_fallbacks + 1;
+      Obs.Metrics.inc metrics "ffs_alloc_cg_fallbacks_total"
+  | None -> ());
+  result
 
-(* Preference for the block following global address [prev]: the next
-   block slot, which may fall past the end of the group's data area — in
-   which case prefer the start of the next group. *)
+(* Preference for the block following global address [prev], as a
+   global address: the next block slot, which may fall past the end of
+   the group's data area — in which case prefer the start of the next
+   group's. *)
 let pref_after_block t prev =
   (* rotdelay leaves a gap of whole blocks between a file's consecutive
      blocks (0 on the paper's system: its drive has a track buffer) *)
   let g = prev + (fpb t * (1 + t.params.Params.rotdelay_blocks)) in
-  if g >= Params.total_frags t.params then (0, Some 0)
+  if g >= Params.total_frags t.params then data_base t 0
   else begin
     let cg = cg_of_global t g in
-    let local = g - Params.data_base t.params cg in
-    if local < 0 || local >= Cg.data_frags t.cgs.(cg) then ((cg + 1) mod t.params.Params.ncg, Some 0)
-    else (cg, Some (local / fpb t))
+    let local = g - data_base t cg in
+    if local < 0 || local >= Cg.data_frags t.cgs.(cg) then
+      data_base t ((cg + 1) mod t.params.Params.ncg)
+    else g
   end
 
+(* group-local block index of global address [addr] *)
+let local_block t addr = (addr - data_base t (cg_of_global t addr)) / fpb t
+
+(* Allocate one block, preferring block [pref_block] of group [pref_cg];
+   [prev] is the file's previous block address (-1 if none), for the
+   contiguity statistics. *)
 let alloc_block t ~pref_cg ~pref_block ~prev =
-  let alloc c =
-    let pref = if c = pref_cg then pref_block else None in
-    Cg.alloc_block t.cgs.(c) ~pref
-    |> Option.map (fun b -> global_of_local t ~cg:c ~frag:(b * fpb t))
+  let addr =
+    match Cg.alloc_block t.cgs.(pref_cg) ~pref:(Some pref_block) with
+    | Some b -> global_of_local t ~cg:pref_cg ~frag:(b * fpb t)
+    | None -> (
+        let alloc c =
+          let pref = if c = pref_cg then Some pref_block else None in
+          Cg.alloc_block t.cgs.(c) ~pref
+          |> Option.map (fun b -> global_of_local t ~cg:c ~frag:(b * fpb t))
+        in
+        match rehash t ~cg:pref_cg ~f:alloc with
+        | None -> Error.raise_ Error.Out_of_space
+        | Some addr -> addr)
   in
-  match hashalloc t ~cg:pref_cg ~f:alloc with
-  | None -> Error.raise_ Error.Out_of_space
-  | Some addr ->
-      let contig =
-        match prev with Some p -> addr = p + fpb t | None -> false
-      in
-      t.stats.blocks_allocated <- t.stats.blocks_allocated + 1;
-      if contig then t.stats.contiguous_allocations <- t.stats.contiguous_allocations + 1;
-      let cg = cg_of_global t addr in
-      jot t (Journal.Data_set { addr; frags = fpb t });
-      Obs.Metrics.inc metrics "ffs_alloc_blocks_total";
-      if contig then Obs.Metrics.inc metrics "ffs_alloc_contiguous_total";
-      Obs.Heatmap.record heat ~cg Obs.Heatmap.Block;
-      if cg <> pref_cg then Obs.Heatmap.record heat ~cg Obs.Heatmap.Fallback;
-      if Obs.Trace.enabled () then
-        Obs.Trace.event "alloc.block"
-          [
-            Obs.Trace.i "addr" addr;
-            Obs.Trace.i "cg" cg;
-            Obs.Trace.i "pref_cg" pref_cg;
-            Obs.Trace.b "fallback" (cg <> pref_cg);
-            Obs.Trace.b "contig" contig;
-          ];
-      addr
+  let contig = prev >= 0 && addr = prev + fpb t in
+  t.stats.blocks_allocated <- t.stats.blocks_allocated + 1;
+  if contig then t.stats.contiguous_allocations <- t.stats.contiguous_allocations + 1;
+  let cg = cg_of_global t addr in
+  if journaling t then jot t (Journal.Data_set { addr; frags = fpb t });
+  Obs.Metrics.inc metrics "ffs_alloc_blocks_total";
+  if contig then Obs.Metrics.inc metrics "ffs_alloc_contiguous_total";
+  Obs.Heatmap.record heat ~cg Obs.Heatmap.Block;
+  if cg <> pref_cg then Obs.Heatmap.record heat ~cg Obs.Heatmap.Fallback;
+  if Obs.Trace.enabled () then
+    Obs.Trace.event "alloc.block"
+      [
+        Obs.Trace.i "addr" addr;
+        Obs.Trace.i "cg" cg;
+        Obs.Trace.i "pref_cg" pref_cg;
+        Obs.Trace.b "fallback" (cg <> pref_cg);
+        Obs.Trace.b "contig" contig;
+      ];
+  addr
 
 let alloc_frags t ~pref_cg ~pref_frag ~count =
-  let alloc c =
-    let pref = if c = pref_cg then pref_frag else None in
-    Cg.alloc_frags t.cgs.(c) ~pref ~count
-    |> Option.map (fun f -> global_of_local t ~cg:c ~frag:f)
+  let addr =
+    match Cg.alloc_frags t.cgs.(pref_cg) ~pref:pref_frag ~count with
+    | Some f -> global_of_local t ~cg:pref_cg ~frag:f
+    | None -> (
+        let alloc c =
+          let pref = if c = pref_cg then pref_frag else None in
+          Cg.alloc_frags t.cgs.(c) ~pref ~count
+          |> Option.map (fun f -> global_of_local t ~cg:c ~frag:f)
+        in
+        match rehash t ~cg:pref_cg ~f:alloc with
+        | None -> Error.raise_ Error.Out_of_space
+        | Some addr -> addr)
   in
-  match hashalloc t ~cg:pref_cg ~f:alloc with
-  | None -> Error.raise_ Error.Out_of_space
-  | Some addr ->
-      t.stats.frags_allocated <- t.stats.frags_allocated + count;
-      let cg = cg_of_global t addr in
-      jot t (Journal.Data_set { addr; frags = count });
-      Obs.Metrics.inc metrics "ffs_alloc_frag_runs_total";
-      Obs.Metrics.add metrics "ffs_alloc_frags_total" count;
-      Obs.Heatmap.record heat ~cg Obs.Heatmap.Frag;
-      if cg <> pref_cg then Obs.Heatmap.record heat ~cg Obs.Heatmap.Fallback;
-      if Obs.Trace.enabled () then
-        Obs.Trace.event "alloc.frags"
-          [
-            Obs.Trace.i "addr" addr;
-            Obs.Trace.i "cg" cg;
-            Obs.Trace.i "pref_cg" pref_cg;
-            Obs.Trace.i "count" count;
-            Obs.Trace.b "fallback" (cg <> pref_cg);
-          ];
-      addr
+  t.stats.frags_allocated <- t.stats.frags_allocated + count;
+  let cg = cg_of_global t addr in
+  if journaling t then jot t (Journal.Data_set { addr; frags = count });
+  Obs.Metrics.inc metrics "ffs_alloc_frag_runs_total";
+  Obs.Metrics.add metrics "ffs_alloc_frags_total" count;
+  Obs.Heatmap.record heat ~cg Obs.Heatmap.Frag;
+  if cg <> pref_cg then Obs.Heatmap.record heat ~cg Obs.Heatmap.Fallback;
+  if Obs.Trace.enabled () then
+    Obs.Trace.event "alloc.frags"
+      [
+        Obs.Trace.i "addr" addr;
+        Obs.Trace.i "cg" cg;
+        Obs.Trace.i "pref_cg" pref_cg;
+        Obs.Trace.i "count" count;
+        Obs.Trace.b "fallback" (cg <> pref_cg);
+      ];
+  addr
 
 let free_run t ~addr ~frags =
   let cg, frag = local_of_global t addr in
-  jot t (Journal.Data_clear { addr; frags });
+  if journaling t then jot t (Journal.Data_clear { addr; frags });
   Obs.Metrics.add metrics "ffs_free_frags_total" frags;
   Cg.free_frags t.cgs.(cg) ~pos:frag ~count:frags
 
@@ -266,23 +295,28 @@ let indirect_range_cg t ~after_cg =
   in
   scan 0
 
-(* State of the streaming write: entries so far, the address of the most
-   recently placed block (data or indirect), and the open realloc
-   window. *)
+(* State of the streaming write: the entries placed so far (an array
+   sized exactly for the file up front), the indirect addresses, the
+   address of the most recently placed block (data or indirect; -1
+   before the first), and the open realloc window. *)
 type walk = {
-  entries : Inode.entry Util.Vec.t;
+  entries : Inode.entry array;
+  mutable n_entries : int;
   indirects : int Util.Vec.t;
-  mutable prev : int option;
+  mutable prev : int;
   mutable win_start : int;  (* index into entries of the window start *)
   mutable win_len : int;
   mutable win_cg : int;
 }
 
-let new_walk () =
+let no_entry = { Inode.addr = -1; frags = 0 }
+
+let new_walk ~nfull ~tail_frags =
   {
-    entries = Util.Vec.create ();
+    entries = Array.make (nfull + if tail_frags > 0 then 1 else 0) no_entry;
+    n_entries = 0;
     indirects = Util.Vec.create ();
-    prev = None;
+    prev = -1;
     win_start = 0;
     win_len = 0;
     win_cg = -1;
@@ -292,8 +326,8 @@ let window_is_contiguous t walk =
   let rec loop i =
     if i >= walk.win_len then true
     else begin
-      let a = (Util.Vec.get walk.entries (walk.win_start + i - 1)).Inode.addr in
-      let b = (Util.Vec.get walk.entries (walk.win_start + i)).Inode.addr in
+      let a = walk.entries.(walk.win_start + i - 1).Inode.addr in
+      let b = walk.entries.(walk.win_start + i).Inode.addr in
       b = a + fpb t && loop (i + 1)
     end
   in
@@ -311,9 +345,8 @@ let flush_window t walk =
       let pref =
         if walk.win_start = 0 then None
         else begin
-          let before = (Util.Vec.get walk.entries (walk.win_start - 1)).Inode.addr in
-          let pcg, pblock = pref_after_block t before in
-          if pcg = cg then pblock else None
+          let p = pref_after_block t walk.entries.(walk.win_start - 1).Inode.addr in
+          if cg_of_global t p = cg then Some (local_block t p) else None
         end
       in
       match
@@ -332,38 +365,48 @@ let flush_window t walk =
               [
                 Obs.Trace.i "cg" cg;
                 Obs.Trace.i "len" walk.win_len;
-                Obs.Trace.i "from"
-                  (Util.Vec.get walk.entries walk.win_start).Inode.addr;
+                Obs.Trace.i "from" walk.entries.(walk.win_start).Inode.addr;
                 Obs.Trace.i "to" (global_of_local t ~cg ~frag:(base_block * fpb t));
               ];
           for i = 0 to walk.win_len - 1 do
             let idx = walk.win_start + i in
-            let old = Util.Vec.get walk.entries idx in
+            let old = walk.entries.(idx) in
             free_run t ~addr:old.Inode.addr ~frags:old.Inode.frags;
             let addr = global_of_local t ~cg ~frag:((base_block + i) * fpb t) in
-            Util.Vec.set walk.entries idx { old with Inode.addr }
+            walk.entries.(idx) <- { old with Inode.addr }
           done;
-          let last = Util.Vec.get walk.entries (walk.win_start + walk.win_len - 1) in
-          walk.prev <- Some last.Inode.addr
+          walk.prev <- walk.entries.(walk.win_start + walk.win_len - 1).Inode.addr
     end
   end;
   walk.win_start <- walk.win_start + walk.win_len;
   walk.win_len <- 0;
   walk.win_cg <- -1
 
+let push_entry walk entry =
+  walk.entries.(walk.n_entries) <- entry;
+  walk.n_entries <- walk.n_entries + 1
+
 let push_block t walk addr =
   let cg = cg_of_global t addr in
   (* a window must stay within one group; close the open one first if
      this block landed elsewhere (win_len does not yet include it) *)
   if walk.win_len > 0 && cg <> walk.win_cg then flush_window t walk;
-  Util.Vec.push walk.entries { Inode.addr; frags = fpb t };
-  walk.prev <- Some addr;
+  push_entry walk { Inode.addr; frags = fpb t };
+  walk.prev <- addr;
   if walk.win_len = 0 then begin
-    walk.win_start <- Util.Vec.length walk.entries - 1;
+    walk.win_start <- walk.n_entries - 1;
     walk.win_cg <- cg
   end;
   walk.win_len <- walk.win_len + 1;
   if walk.win_len >= t.params.Params.maxcontig then flush_window t walk
+
+(* free everything a failed walk had taken *)
+let rollback t walk =
+  for i = 0 to walk.n_entries - 1 do
+    let e = walk.entries.(i) in
+    free_run t ~addr:e.Inode.addr ~frags:e.Inode.frags
+  done;
+  Util.Vec.iter (fun a -> free_run t ~addr:a ~frags:(fpb t)) walk.indirects
 
 (* Allocate the data (and indirect blocks) for a file of [size] bytes
    whose inode lives in group [home_cg]. Returns the entry list and
@@ -372,11 +415,7 @@ let push_block t walk addr =
 let allocate_data t ~home_cg ~size =
   let params = t.params in
   let nfull, tail_frags = Params.blocks_of_size params size in
-  let walk = new_walk () in
-  let rollback () =
-    Util.Vec.iter (fun e -> free_run t ~addr:e.Inode.addr ~frags:e.Inode.frags) walk.entries;
-    Util.Vec.iter (fun a -> free_run t ~addr:a ~frags:(fpb t)) walk.indirects
-  in
+  let walk = new_walk ~nfull ~tail_frags in
   try
     let ndaddr = params.Params.ndaddr in
     let nindir = params.Params.nindir in
@@ -385,48 +424,49 @@ let allocate_data t ~home_cg ~size =
       if lbn >= ndaddr && (lbn - ndaddr) mod nindir = 0 then begin
         flush_window t walk;
         t.stats.indirect_switches <- t.stats.indirect_switches + 1;
-        let after_cg =
-          match walk.prev with Some p -> cg_of_global t p | None -> home_cg
-        in
+        let after_cg = if walk.prev < 0 then home_cg else cg_of_global t walk.prev in
         let icg = indirect_range_cg t ~after_cg in
         (* the double-indirect block itself, the first time we need it *)
         let n_indirect = if lbn = ndaddr + nindir then 2 else 1 in
         for _ = 1 to n_indirect do
-          let addr = alloc_block t ~pref_cg:icg ~pref_block:(Some 0) ~prev:None in
+          let addr = alloc_block t ~pref_cg:icg ~pref_block:0 ~prev:(-1) in
           Util.Vec.push walk.indirects addr;
-          walk.prev <- Some addr
+          walk.prev <- addr
         done
       end;
-      let pref_cg, pref_block =
-        match walk.prev with
-        | Some p -> pref_after_block t p
-        | None -> (home_cg, Some 0)
+      let addr =
+        if walk.prev < 0 then alloc_block t ~pref_cg:home_cg ~pref_block:0 ~prev:(-1)
+        else begin
+          let p = pref_after_block t walk.prev in
+          alloc_block t ~pref_cg:(cg_of_global t p) ~pref_block:(local_block t p)
+            ~prev:walk.prev
+        end
       in
-      let addr = alloc_block t ~pref_cg ~pref_block ~prev:walk.prev in
       push_block t walk addr
     done;
     flush_window t walk;
     if tail_frags > 0 then begin
       let pref_cg, pref_frag =
-        match walk.prev with
-        | Some p ->
-            let g = p + fpb t in
-            if g >= Params.total_frags params then (home_cg, None)
-            else begin
-              let cg = cg_of_global t g in
-              let local = g - Params.data_base params cg in
-              if local < 0 || local >= Cg.data_frags t.cgs.(cg) then
-                ((cg + 1) mod params.Params.ncg, None)
-              else (cg, Some local)
-            end
-        | None -> (home_cg, Some 0)
+        if walk.prev < 0 then (home_cg, Some 0)
+        else begin
+          let g = walk.prev + fpb t in
+          if g >= Params.total_frags params then (home_cg, None)
+          else begin
+            let cg = cg_of_global t g in
+            let local = g - data_base t cg in
+            if local < 0 || local >= Cg.data_frags t.cgs.(cg) then
+              ((cg + 1) mod params.Params.ncg, None)
+            else (cg, Some local)
+          end
+        end
       in
       let addr = alloc_frags t ~pref_cg ~pref_frag ~count:tail_frags in
-      Util.Vec.push walk.entries { Inode.addr; frags = tail_frags }
+      push_entry walk { Inode.addr; frags = tail_frags }
     end;
-    (Util.Vec.to_array walk.entries, Util.Vec.to_array walk.indirects)
+    assert (walk.n_entries = Array.length walk.entries);
+    (walk.entries, Util.Vec.to_array walk.indirects)
   with Error.Error Error.Out_of_space as exn ->
-    rollback ();
+    rollback t walk;
     raise exn
 
 (* --- directories -------------------------------------------------------- *)
@@ -453,12 +493,12 @@ let maybe_extend_dir t dir =
           let last = ino.Inode.entries.(n - 1) in
           let g = last.Inode.addr + last.Inode.frags in
           let lcg = if g >= Params.total_frags t.params then cg else cg_of_global t g in
-          if lcg = cg then Some (g - Params.data_base t.params cg) else None
+          if lcg = cg then Some (g - data_base t cg) else None
     in
     let addr = alloc_frags t ~pref_cg:cg ~pref_frag:pref ~count:1 in
     ino.Inode.entries <- Array.append ino.Inode.entries [| { Inode.addr; frags = 1 } |];
     ino.Inode.size <- ino.Inode.size + t.params.Params.frag_bytes;
-    jot t (Journal.Inode_write { ino = snapshot_inode ino })
+    if journaling t then jot t (Journal.Inode_write { ino = snapshot_inode ino })
   end
 
 let add_dir_entry t ~dir ~name ~inum =
@@ -497,7 +537,7 @@ let make_dir_at t ~cg ~time =
       Hashtbl.replace t.dirs inum
         { dir_inum = inum; by_name = Hashtbl.create 16; order = []; live_entries = 0 };
       Cg.add_dir t.cgs.(cg_of_inum t inum);
-      jot t (Journal.Inode_write { ino = snapshot_inode ino });
+      if journaling t then jot t (Journal.Inode_write { ino = snapshot_inode ino });
       jot t (Journal.Dir_count { cg = cg_of_inum t inum; delta = 1 });
       inum
 
@@ -507,6 +547,7 @@ let create ?(config = default_config) ?(backend = Store.Heap_backend) params =
   let t =
     {
       params;
+      geo = geometry_of params;
       store;
       cgs =
         Array.init params.Params.ncg (fun index ->
@@ -660,7 +701,7 @@ let create_file_exn t ~dir ~name ~size =
         ino.Inode.entries <- entries;
         ino.Inode.indirect_addrs <- indirects;
         Hashtbl.replace t.inodes inum ino;
-        jot t (Journal.Inode_write { ino = snapshot_inode ino });
+        if journaling t then jot t (Journal.Inode_write { ino = snapshot_inode ino });
         add_dir_entry t ~dir ~name ~inum;
         inum
       with Error.Error Error.Out_of_space as exn ->
@@ -721,7 +762,7 @@ let rewrite_file_exn t ~inum ~size =
       ino.Inode.entries <- entries;
       ino.Inode.indirect_addrs <- indirects;
       ino.Inode.mtime <- t.clock;
-      jot t (Journal.Inode_write { ino = snapshot_inode ino })
+      if journaling t then jot t (Journal.Inode_write { ino = snapshot_inode ino })
 
 let inode t inum =
   match Hashtbl.find_opt t.inodes inum with
@@ -899,6 +940,7 @@ let of_portable ?(backend = Store.Heap_backend) p =
      a resume is a full one anyway) *)
   {
     params;
+    geo = geometry_of params;
     store;
     cgs;
     inodes;

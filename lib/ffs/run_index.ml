@@ -57,14 +57,21 @@ let longest t =
 let has_run t ~len = len <= longest t
 let count_of_length t len = if len >= 0 && len <= t.size then t.counts.(len) else 0
 
-(* boundaries of the maximal free run containing free slot [i] *)
-let run_bounds t i =
-  assert (is_free t i);
-  let rec left j = if j > 0 && is_free t (j - 1) then left (j - 1) else j in
-  let rec right j = if j < t.size - 1 && is_free t (j + 1) then right (j + 1) else j in
-  (left i, right i)
+(* First slot of the maximal free run containing free slot [i]. Steps
+   outward from [i] in both directions at once ([d] slots so far) and
+   stops at whichever run end it meets first; an end's [lengths] entry
+   then gives the start. A slot at either end of its run therefore
+   costs two probes, and one strictly inside costs twice its distance
+   to the nearer end. Top level, so a call allocates no closure. *)
+let rec run_start_from t i d =
+  let j = i - d and k = i + d in
+  if j = 0 || not (is_free t (j - 1)) then j
+  else if k = t.size - 1 || not (is_free t (k + 1)) then k - t.lengths.(k) + 1
+  else run_start_from t i (d + 1)
 
-let run_length_at t i = if not (is_free t i) then 0 else let s, e = run_bounds t i in e - s + 1
+let run_start t i = run_start_from t i 0
+
+let run_length_at t i = if not (is_free t i) then 0 else t.lengths.(run_start t i)
 
 let record_run t ~s ~e =
   let len = e - s + 1 in
@@ -81,8 +88,13 @@ let forget_run_of_length t len =
 
 let allocate t i =
   assert (is_free t i);
-  let s, e = run_bounds t i in
-  forget_run_of_length t (e - s + 1);
+  let s = run_start t i in
+  let len = t.lengths.(s) in
+  let e = s + len - 1 in
+  (* both endpoints hold the run's length, and the run ends at [e] *)
+  assert (i <= e && t.lengths.(e) = len);
+  assert (e = t.size - 1 || not (is_free t (e + 1)));
+  forget_run_of_length t len;
   Bitmap.set t.used i;
   record_run t ~s ~e:(i - 1);
   record_run t ~s:(i + 1) ~e

@@ -4,13 +4,20 @@
     pass can reject a cluster request without scanning the block map.
     This structure maintains, under single-slot allocate/free
     operations, both the per-length counts of maximal free runs and the
-    run geometry itself, in O(1) per update:
+    run geometry itself:
 
     - [lengths.(i)] — for each slot of a free run, the run length is
       stored at the run's two endpoints (interior slots are stale, never
       consulted);
     - [counts.(len)] — how many maximal free runs have exactly [len]
       slots.
+
+    {!free} is O(1). {!allocate} and {!run_length_at} are O(1) for a
+    slot at either end of its free run, which is where the allocators
+    almost always take blocks (the first block of a run, or the next
+    one after a file's previous block). For a slot strictly inside a
+    run they walk outward from it in both directions, costing twice
+    its distance to the nearer end of the run.
 
     {!Cg} consults it to fail cluster allocations fast and to answer
     run-statistics queries without rescanning. The invariant (counts and
@@ -34,7 +41,8 @@ val reset : t -> unit
 val is_free : t -> int -> bool
 
 val allocate : t -> int -> unit
-(** Mark one free slot used, splitting its run. *)
+(** Mark one free slot used, splitting its run. O(1) at either end of
+    the run; see above for a slot inside it. *)
 
 val free : t -> int -> unit
 (** Mark one used slot free, merging adjacent runs. *)
@@ -52,7 +60,7 @@ val longest : t -> int
 
 val run_length_at : t -> int -> int
 (** Length of the maximal free run containing the given free slot; 0 for
-    a used slot. *)
+    a used slot. Same cost as {!allocate}. *)
 
 val histogram : t -> max:int -> int array
 (** Counts of maximal free runs by length: slot [i] holds runs of length

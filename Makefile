@@ -63,7 +63,17 @@ metrics-smoke:
 	@test -s /tmp/ffs_smoke_trace.jsonl || { echo "empty trace"; exit 1; }
 	@grep -q ffs_alloc_blocks_total /tmp/ffs_smoke_metrics.json \
 		|| { echo "metrics snapshot missing ffs_alloc_blocks_total"; exit 1; }
-	@rm -f /tmp/ffs_smoke_trace.jsonl /tmp/ffs_smoke_metrics.json
+	@echo "== ffs_age --trace, crash + checkpointed run =="
+	@rm -rf /tmp/ffs_smoke_ck
+	@dune exec bin/ffs_age.exe -- --fs small --days 10 -q --crashes 1 \
+		--checkpoint-every 5 --checkpoint-dir /tmp/ffs_smoke_ck \
+		--trace /tmp/ffs_smoke_trace_ck.jsonl
+	@for f in /tmp/ffs_smoke_trace.jsonl /tmp/ffs_smoke_trace_ck.jsonl; do \
+		n=$$(grep -c '"name":"replay.run"' $$f); \
+		[ "$$n" = 1 ] || { echo "$$f: $$n replay.run spans, expected 1"; exit 1; }; \
+	done
+	@rm -rf /tmp/ffs_smoke_trace.jsonl /tmp/ffs_smoke_trace_ck.jsonl \
+		/tmp/ffs_smoke_metrics.json /tmp/ffs_smoke_ck
 	@echo "== obs replay smoke suite =="
 	@dune exec test/test_obs.exe -- test smoke -q
 

@@ -33,24 +33,92 @@ let progress_of ~days ~quiet ~day ~score =
   if (not quiet) && (day + 1) mod 25 = 0 then
     Fmt.epr "  day %3d/%d  aggregate layout score %.3f@." (day + 1) days score
 
-let replay_with_progress ?backend ~params ~days ~config ~quiet ops =
+(* The one replay path of the command-line tools: optional crashes,
+   periodic durable checkpoints (in [checkpoint_dir], else the [resume]
+   directory), periodic scrubs, resume from the newest valid checkpoint,
+   and SIGINT-triggered checkpoint-and-exit. Returns the aged result and
+   its crash recoveries. Exits 130 when interrupted (the checkpoint is
+   dropped when there is no directory to write it to), 2 when the
+   resume state is unusable. *)
+let replay ~backend ~params ~days ~config ~quiet ?(crashes = 0) ~fault_seed
+    ?(checkpoint_every = 0) ?checkpoint_dir ?checkpoint_keep ?checkpoint_full_every ?resume
+    ?(scrub_every = 0) ops =
+  let dir = match checkpoint_dir with Some d -> Some d | None -> resume in
+  let resume_ck =
+    match resume with
+    | None -> None
+    | Some rdir -> (
+        match Aging.Checkpoint.load_latest ~backend ~dir:rdir with
+        | Error e ->
+            Fmt.epr "cannot resume: %a@." Ffs.Error.pp e;
+            exit 2
+        | Ok (path, ck) ->
+            if not quiet then
+              Fmt.epr "resuming from %s (day %d, op %d)@." path
+                (Aging.Replay.checkpoint_day ck)
+                (Aging.Replay.checkpoint_next_op ck);
+            (* counters continue where the interrupted run left them, so
+               the finished run's totals match an uninterrupted one *)
+            Obs.Metrics.restore Obs.Metrics.default (Aging.Replay.checkpoint_metrics ck);
+            Some ck)
+  in
+  let stop = Atomic.make false in
+  let prev_sigint =
+    Sys.signal Sys.sigint
+      (Sys.Signal_handle
+         (fun _ ->
+           if Atomic.get stop then exit 130;
+           Atomic.set stop true;
+           prerr_endline "interrupt: checkpointing at the next operation (^C again to abort)"))
+  in
+  let ckw =
+    Option.map
+      (fun dir ->
+        Aging.Checkpoint.writer ~dir ?keep:checkpoint_keep ?full_every:checkpoint_full_every ())
+      dir
+  in
+  let save_ck ck =
+    match ckw with
+    | None ->
+        if not quiet then
+          Fmt.epr "WARNING: no --checkpoint-dir; checkpoint dropped@."
+    | Some w -> (
+        match Aging.Checkpoint.save_auto w ck with
+        | Error e -> Fmt.epr "WARNING: checkpoint failed: %a@." Ffs.Error.pp e
+        | Ok (path, written) ->
+            if not quiet then
+              Fmt.epr "checkpoint written to %s (day %d%s)@." path
+                (Aging.Replay.checkpoint_day ck)
+                (match written with `Delta -> ", delta" | `Full -> ""))
+  in
   if not quiet then
     Fmt.epr "workload: %a@." Workload.Op.pp_stats (Workload.Op.stats ops);
-  Aging.Replay.run ?backend ~config ~progress:(progress_of ~days ~quiet) ~params ~days ops
-
-(* Like [replay_with_progress], but with [crashes] power failures drawn
-   from [fault_seed]; returns the recovery records alongside the result. *)
-let replay_with_crashes ?backend ~params ~days ~config ~quiet ~crashes ~fault_seed ops =
-  if crashes = 0 then (replay_with_progress ?backend ~params ~days ~config ~quiet ops, [])
-  else begin
-    if not quiet then
-      Fmt.epr "workload: %a@." Workload.Op.pp_stats (Workload.Op.stats ops);
-    let cr =
-      Aging.Replay.run_with_crashes ?backend ~config ~progress:(progress_of ~days ~quiet)
-        ~params ~days ~crashes ~fault_seed ops
-    in
-    (cr.Aging.Replay.result, cr.Aging.Replay.recoveries)
-  end
+  let on_scrub (s : Ffs.Check.scrub_log) =
+    if not quiet then Fmt.epr "%a@." Ffs.Check.pp_scrub s
+  in
+  let outcome =
+    Fun.protect
+      ~finally:(fun () -> Sys.set_signal Sys.sigint prev_sigint)
+      (fun () ->
+        try
+          Aging.Replay.run_resumable ~backend ~config ~progress:(progress_of ~days ~quiet)
+            ?resume:resume_ck
+            ~should_stop:(fun () -> Atomic.get stop)
+            ~checkpoint_every ~on_checkpoint:save_ck ~scrub_every ~on_scrub ~params
+            ~days ~crashes ~fault_seed ops
+        with Ffs.Error.Error e ->
+          Fmt.epr "resume failed: %a@." Ffs.Error.pp e;
+          exit 2)
+  in
+  match outcome with
+  | `Interrupted ck ->
+      save_ck ck;
+      Fmt.epr "interrupted at day %d, op %d%s@."
+        (Aging.Replay.checkpoint_day ck)
+        (Aging.Replay.checkpoint_next_op ck)
+        (if ckw = None then "" else "; resume with --resume");
+      exit 130
+  | `Completed cr -> (cr.Aging.Replay.result, cr.Aging.Replay.recoveries)
 
 (* Load a saved aged image or die with the corruption diagnosis; every
    binary that reads an image wants exactly this behaviour. *)

@@ -32,90 +32,6 @@ let run_multi_seed ~days ~seed ~nseeds ~jobs ~quiet =
   Common.print_timings ~quiet timings;
   match outcome with `Stopped _ -> exit 130 | `Done _ -> ()
 
-(* Checkpointed replay: periodic durable checkpoints, SIGINT-triggered
-   checkpoint-and-exit, and resume from the newest valid checkpoint.
-   Exits 130 when interrupted, 2 when the resume state is unusable. *)
-let replay_checkpointed ~backend ~params ~days ~config ~quiet ~crashes ~fault_seed
-    ~checkpoint_every ~checkpoint_dir ~checkpoint_keep ~checkpoint_full_every ~resume
-    ~scrub_every ops =
-  let dir = match checkpoint_dir with Some d -> Some d | None -> resume in
-  let resume_ck =
-    match resume with
-    | None -> None
-    | Some rdir -> (
-        match Aging.Checkpoint.load_latest ~backend ~dir:rdir with
-        | Error e ->
-            Fmt.epr "cannot resume: %a@." Ffs.Error.pp e;
-            exit 2
-        | Ok (path, ck) ->
-            if not quiet then
-              Fmt.epr "resuming from %s (day %d, op %d)@." path
-                (Aging.Replay.checkpoint_day ck)
-                (Aging.Replay.checkpoint_next_op ck);
-            (* counters continue where the interrupted run left them, so
-               the finished run's totals match an uninterrupted one *)
-            Obs.Metrics.restore Obs.Metrics.default (Aging.Replay.checkpoint_metrics ck);
-            Some ck)
-  in
-  let stop = Atomic.make false in
-  let prev_sigint =
-    Sys.signal Sys.sigint
-      (Sys.Signal_handle
-         (fun _ ->
-           if Atomic.get stop then exit 130;
-           Atomic.set stop true;
-           prerr_endline "interrupt: checkpointing at the next operation (^C again to abort)"))
-  in
-  let ckw =
-    Option.map
-      (fun dir ->
-        Aging.Checkpoint.writer ~dir ~keep:checkpoint_keep
-          ~full_every:checkpoint_full_every ())
-      dir
-  in
-  let save_ck ck =
-    match ckw with
-    | None ->
-        if not quiet then
-          Fmt.epr "WARNING: no --checkpoint-dir; checkpoint dropped@."
-    | Some w -> (
-        match Aging.Checkpoint.save_auto w ck with
-        | Error e -> Fmt.epr "WARNING: checkpoint failed: %a@." Ffs.Error.pp e
-        | Ok (path, written) ->
-            if not quiet then
-              Fmt.epr "checkpoint written to %s (day %d%s)@." path
-                (Aging.Replay.checkpoint_day ck)
-                (match written with `Delta -> ", delta" | `Full -> ""))
-  in
-  if not quiet then
-    Fmt.epr "workload: %a@." Workload.Op.pp_stats (Workload.Op.stats ops);
-  let on_scrub (s : Ffs.Check.scrub_log) =
-    if not quiet then Fmt.epr "%a@." Ffs.Check.pp_scrub s
-  in
-  let outcome =
-    Fun.protect
-      ~finally:(fun () -> Sys.set_signal Sys.sigint prev_sigint)
-      (fun () ->
-        try
-          Aging.Replay.run_resumable ~backend ~config
-            ~progress:(Common.progress_of ~days ~quiet)
-            ?resume:resume_ck
-            ~should_stop:(fun () -> Atomic.get stop)
-            ~checkpoint_every ~on_checkpoint:save_ck ~scrub_every ~on_scrub ~params
-            ~days ~crashes ~fault_seed ops
-        with Ffs.Error.Error e ->
-          Fmt.epr "resume failed: %a@." Ffs.Error.pp e;
-          exit 2)
-  in
-  match outcome with
-  | `Interrupted ck ->
-      save_ck ck;
-      Fmt.epr "interrupted at day %d, op %d; resume with --resume@."
-        (Aging.Replay.checkpoint_day ck)
-        (Aging.Replay.checkpoint_next_op ck);
-      exit 130
-  | `Completed cr -> (cr.Aging.Replay.result, cr.Aging.Replay.recoveries)
-
 let run days seed nseeds jobs realloc policy backend store_faults scrub_every kind
     profile_kind quiet params crashes fault_seed checkpoint_every checkpoint_dir
     checkpoint_keep checkpoint_full_every resume trace metrics_out image_out csv_out
@@ -157,23 +73,15 @@ let run days seed nseeds jobs realloc policy backend store_faults scrub_every ki
     | Some _ -> (Workload.Op.stats ops).Workload.Op.days
   in
   let backend = Common.resolve_backend ~backend ~store_faults ~fault_seed in
-  (* with device faults the store heals via periodic scrubs, which only
-     the resumable engine drives — default to a daily scrub *)
+  (* with device faults the store heals via periodic scrubs — default
+     to a daily scrub *)
   let scrub_every =
     if scrub_every > 0 then scrub_every else if store_faults <> None then 1 else 0
   in
-  let checkpointing =
-    checkpoint_every > 0 || checkpoint_dir <> None || resume <> None
-    || store_faults <> None || scrub_every > 0
-  in
   let result, recoveries =
-    if checkpointing then
-      replay_checkpointed ~backend ~params ~days ~config ~quiet ~crashes ~fault_seed
-        ~checkpoint_every ~checkpoint_dir ~checkpoint_keep ~checkpoint_full_every
-        ~resume ~scrub_every ops
-    else
-      Common.replay_with_crashes ~backend ~params ~days ~config ~quiet ~crashes
-        ~fault_seed ops
+    Common.replay ~backend ~params ~days ~config ~quiet ~crashes ~fault_seed
+      ~checkpoint_every ?checkpoint_dir ~checkpoint_keep ~checkpoint_full_every ?resume
+      ~scrub_every ops
   in
   let scores = result.Aging.Replay.daily_scores in
   Fmt.pr "allocator: %s@." (if realloc then "FFS + realloc" else "traditional FFS");
@@ -269,9 +177,10 @@ let cmd =
   let checkpoint_dir =
     Arg.(value & opt (some string) None
          & info [ "checkpoint-dir" ] ~docv:"DIR"
-             ~doc:"Directory for checkpoint files (created if missing). Enables \
-                   graceful SIGINT handling: the first $(b,^C) checkpoints and \
-                   exits 130, a second aborts immediately.")
+             ~doc:"Directory for checkpoint files (created if missing). The \
+                   first $(b,^C) writes a checkpoint here and exits 130 (without \
+                   a directory the checkpoint is dropped); a second aborts \
+                   immediately.")
   in
   let checkpoint_keep =
     Arg.(value & opt int 3

@@ -9,7 +9,7 @@ let age_fresh ~backend ~params ~days ~seed ~config ~quiet =
     Common.build_workload ~params ~days ~seed ~kind:Common.Ground_truth
       ~profile_kind:Workload.Profiles.Home
   in
-  let result = Common.replay_with_progress ~backend ~params ~days ~config ~quiet ops in
+  let result, _ = Common.replay ~backend ~params ~days ~config ~quiet ~fault_seed:0 ops in
   result.Aging.Replay.fs
 
 (* --explore: enumerate every crash state of each multi-write operation

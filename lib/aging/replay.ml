@@ -22,10 +22,9 @@ let () =
 
 (* --- the replay engine ---------------------------------------------------- *)
 
-(* State of one in-progress replay, factored out so that the plain run
-   and the crash-injecting run share every operation and day-rollover
-   semantic (and therefore produce identical images when no crash is
-   injected). *)
+(* State of one in-progress replay: the image, the placement trick's
+   directories, the workload-to-image inode map and the score history.
+   Holds no callbacks, so a checkpoint can carry a shallow copy of it. *)
 type engine = {
   fs : Ffs.Fs.t;
   group_dirs : int array;
@@ -34,14 +33,11 @@ type engine = {
   daily_utilization : float array;
   days : int;
   total_ops : int;
-  max_skip_fraction : float;
-  on_skip : Workload.Op.t -> skipped:int -> unit;
-  progress : day:int -> score:float -> unit;
   mutable skipped : int;
   mutable next_day : int;
 }
 
-let make_engine ~config ~backend ~progress ~on_skip ~max_skip_fraction ~params ~days ~total_ops =
+let make_engine ~config ~backend ~params ~days ~total_ops =
   let fs = Ffs.Fs.create ~config ~backend params in
   let ncg = params.Ffs.Params.ncg in
   (* one directory per cylinder group, pinned *)
@@ -57,9 +53,6 @@ let make_engine ~config ~backend ~progress ~on_skip ~max_skip_fraction ~params ~
     daily_utilization = Array.make days 0.0;
     days;
     total_ops;
-    max_skip_fraction;
-    on_skip;
-    progress;
     skipped = 0;
     next_day = 0;
   }
@@ -68,7 +61,7 @@ let day_end d = float_of_int (d + 1) *. Workload.Op.seconds_per_day
 
 let metrics = Obs.Metrics.default
 
-let finish_day e =
+let finish_day e ~progress =
   let d = e.next_day in
   e.daily_scores.(d) <- Layout_score.aggregate e.fs;
   e.daily_utilization.(d) <- Ffs.Fs.utilization e.fs;
@@ -80,15 +73,18 @@ let finish_day e =
         Obs.Trace.f "score" e.daily_scores.(d);
         Obs.Trace.f "utilization" e.daily_utilization.(d);
       ];
-  e.progress ~day:d ~score:e.daily_scores.(d);
+  progress ~day:d ~score:e.daily_scores.(d);
   e.next_day <- e.next_day + 1
 
-let skip e op =
+(* catastrophic-only: a replay that drops this share of its workload is
+   not measuring what it claims to *)
+let skip_limit = 0.9
+
+let skip e =
   e.skipped <- e.skipped + 1;
   Obs.Metrics.inc metrics "replay_skips_total";
-  e.on_skip op ~skipped:e.skipped;
-  if float_of_int e.skipped > e.max_skip_fraction *. float_of_int e.total_ops then
-    raise (Too_many_skips { skipped = e.skipped; total = e.total_ops; limit = e.max_skip_fraction })
+  if float_of_int e.skipped > skip_limit *. float_of_int e.total_ops then
+    raise (Too_many_skips { skipped = e.skipped; total = e.total_ops; limit = skip_limit })
 
 let op_kind = function
   | Workload.Op.Create _ -> "create"
@@ -104,7 +100,7 @@ let skip_if_full e op = function
       Log.warn (fun m ->
           m "out of space replaying %s inode %d; op skipped" (op_kind op)
             (Workload.Op.ino_of op));
-      skip e op
+      skip e
   | Error err -> Ffs.Error.raise_ err
 
 let apply e op =
@@ -118,7 +114,7 @@ let apply e op =
       match Hashtbl.find_opt e.ino_map ino with
       | Some _ ->
           (* shouldn't happen in a well-formed workload; treat as modify *)
-          skip e op
+          skip e
       | None ->
           let ipg = Ffs.Params.inodes_per_group (Ffs.Fs.params e.fs) in
           let cg = ino / ipg mod Array.length e.group_dirs in
@@ -128,24 +124,24 @@ let apply e op =
           |> skip_if_full e op)
   | Workload.Op.Delete { ino; _ } -> (
       match Hashtbl.find_opt e.ino_map ino with
-      | None -> skip e op
+      | None -> skip e
       | Some inum ->
           Ffs.Fs.delete_inum_exn e.fs inum;
           Hashtbl.remove e.ino_map ino)
   | Workload.Op.Modify { ino; size; _ } -> (
       match Hashtbl.find_opt e.ino_map ino with
-      | None -> skip e op
+      | None -> skip e
       | Some inum -> skip_if_full e op (Ffs.Fs.rewrite_file e.fs ~inum ~size))
 
-let step e op =
+let step e ~progress op =
   while e.next_day < e.days && Workload.Op.time_of op >= day_end e.next_day do
-    finish_day e
+    finish_day e ~progress
   done;
   apply e op
 
-let finish e =
+let finish e ~progress =
   while e.next_day < e.days do
-    finish_day e
+    finish_day e ~progress
   done;
   {
     fs = e.fs;
@@ -154,8 +150,6 @@ let finish e =
     skipped_ops = e.skipped;
     ino_map = e.ino_map;
   }
-
-let default_max_skip_fraction = 0.9
 
 (* --- crash-consistent replay ---------------------------------------------- *)
 
@@ -204,11 +198,14 @@ let drop_lost_mappings e =
     e.group_dirs;
   lost
 
-let crash e ~after_op ~rng ~intensity =
+(* torn metadata writes per crash *)
+let crash_intensity = 4
+
+let crash e ~after_op ~rng =
   (* power fails just after operation [after_op]: a burst of torn
      metadata writes, then fsck-with-repair brings the image back to
      consistency before the replay resumes with the next day's traffic *)
-  let spec = Fault.Plan.gen ~rng ~intensity in
+  let spec = Fault.Plan.gen ~rng ~intensity:crash_intensity in
   let events = Fault.Inject.apply e.fs ~rng spec in
   let before = Ffs.Check.run e.fs in
   let repair = Ffs.Check.repair_exn e.fs in
@@ -233,23 +230,14 @@ let crash e ~after_op ~rng ~intensity =
 
 (* --- checkpoint/resume ----------------------------------------------------- *)
 
-(* The complete state of a paused replay: everything [engine] holds
-   except its callbacks (closures don't marshal; the caller re-supplies
-   them on resume), plus the position in the op stream, the fault PRNG
-   state, the not-yet-fired crash points, the recoveries so far, and a
-   snapshot of the metrics registry. A checkpoint SHARES structure with
-   the live engine — serialise it (Checkpoint.save) before continuing
-   the run, or treat the run as abandoned. *)
+(* The complete state of a paused replay: a shallow copy of the engine,
+   plus the position in the op stream, the fault PRNG state, the
+   not-yet-fired crash points, the recoveries so far, and a snapshot of
+   the metrics registry. A checkpoint SHARES the engine's image, tables
+   and arrays — serialise it (Checkpoint.save) before continuing the
+   run, or treat the run as abandoned. *)
 type checkpoint = {
-  ck_fs : Ffs.Fs.t;
-  ck_group_dirs : int array;
-  ck_ino_map : (int, int) Hashtbl.t;
-  ck_daily_scores : float array;
-  ck_daily_utilization : float array;
-  ck_days : int;
-  ck_total_ops : int;
-  ck_skipped : int;
-  ck_next_day : int;
+  ck_engine : engine;
   ck_next_op : int;  (* index of the first op not yet applied *)
   ck_ops_crc : int32;  (* fingerprint of the workload being replayed *)
   ck_fault_rng : Util.Prng.t;
@@ -260,22 +248,17 @@ type checkpoint = {
 
 let ops_fingerprint ops = Recover.Crc32.string (Marshal.to_string (ops : Workload.Op.t array) [])
 
-let checkpoint_day ck = ck.ck_next_day
+let checkpoint_day ck = ck.ck_engine.next_day
 let checkpoint_next_op ck = ck.ck_next_op
 let checkpoint_metrics ck = ck.ck_metrics
-let checkpoint_fs ck = ck.ck_fs
+let checkpoint_fs ck = ck.ck_engine.fs
+
+(* the mutable counters are the only fields a copy must not share *)
+let copy_engine e = { e with skipped = e.skipped }
 
 let checkpoint_of_engine e ~next_op ~ops_crc ~rng ~pending ~recoveries =
   {
-    ck_fs = e.fs;
-    ck_group_dirs = e.group_dirs;
-    ck_ino_map = e.ino_map;
-    ck_daily_scores = e.daily_scores;
-    ck_daily_utilization = e.daily_utilization;
-    ck_days = e.days;
-    ck_total_ops = e.total_ops;
-    ck_skipped = e.skipped;
-    ck_next_day = e.next_day;
+    ck_engine = copy_engine e;
     ck_next_op = next_op;
     ck_ops_crc = ops_crc;
     ck_fault_rng = Util.Prng.copy rng;
@@ -313,16 +296,17 @@ type portable_checkpoint = {
 let sorted_bindings h = Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [] |> List.sort compare
 
 let portable_of_checkpoint ck =
+  let e = ck.ck_engine in
   {
-    pc_fs = Ffs.Fs.to_portable ck.ck_fs;
-    pc_group_dirs = Array.copy ck.ck_group_dirs;
-    pc_ino_map = sorted_bindings ck.ck_ino_map;
-    pc_daily_scores = Array.copy ck.ck_daily_scores;
-    pc_daily_utilization = Array.copy ck.ck_daily_utilization;
-    pc_days = ck.ck_days;
-    pc_total_ops = ck.ck_total_ops;
-    pc_skipped = ck.ck_skipped;
-    pc_next_day = ck.ck_next_day;
+    pc_fs = Ffs.Fs.to_portable e.fs;
+    pc_group_dirs = Array.copy e.group_dirs;
+    pc_ino_map = sorted_bindings e.ino_map;
+    pc_daily_scores = Array.copy e.daily_scores;
+    pc_daily_utilization = Array.copy e.daily_utilization;
+    pc_days = e.days;
+    pc_total_ops = e.total_ops;
+    pc_skipped = e.skipped;
+    pc_next_day = e.next_day;
     pc_next_op = ck.ck_next_op;
     pc_ops_crc = ck.ck_ops_crc;
     pc_fault_rng = Util.Prng.copy ck.ck_fault_rng;
@@ -335,15 +319,18 @@ let checkpoint_of_portable ?backend pc =
   let ino_map = Hashtbl.create (max 4096 (List.length pc.pc_ino_map)) in
   List.iter (fun (k, v) -> Hashtbl.replace ino_map k v) pc.pc_ino_map;
   {
-    ck_fs = Ffs.Fs.of_portable ?backend pc.pc_fs;
-    ck_group_dirs = Array.copy pc.pc_group_dirs;
-    ck_ino_map = ino_map;
-    ck_daily_scores = Array.copy pc.pc_daily_scores;
-    ck_daily_utilization = Array.copy pc.pc_daily_utilization;
-    ck_days = pc.pc_days;
-    ck_total_ops = pc.pc_total_ops;
-    ck_skipped = pc.pc_skipped;
-    ck_next_day = pc.pc_next_day;
+    ck_engine =
+      {
+        fs = Ffs.Fs.of_portable ?backend pc.pc_fs;
+        group_dirs = Array.copy pc.pc_group_dirs;
+        ino_map;
+        daily_scores = Array.copy pc.pc_daily_scores;
+        daily_utilization = Array.copy pc.pc_daily_utilization;
+        days = pc.pc_days;
+        total_ops = pc.pc_total_ops;
+        skipped = pc.pc_skipped;
+        next_day = pc.pc_next_day;
+      };
     ck_next_op = pc.pc_next_op;
     ck_ops_crc = pc.pc_ops_crc;
     ck_fault_rng = Util.Prng.copy pc.pc_fault_rng;
@@ -382,46 +369,32 @@ let result_of_portable ?backend pr =
 
 let corrupt_resume fmt = Fmt.kstr (fun m -> Ffs.Error.raise_ (Ffs.Error.Corrupt m)) fmt
 
-let engine_of_checkpoint ~progress ~on_skip ~max_skip_fraction ~days ~ops ~ops_crc ck =
+let engine_of_checkpoint ~days ~ops ~ops_crc ck =
+  let e = ck.ck_engine in
   if ck.ck_ops_crc <> ops_crc then
     corrupt_resume "resume: checkpoint was taken against a different workload";
-  if ck.ck_days <> days then
-    corrupt_resume "resume: checkpoint is for a %d-day run, not %d days" ck.ck_days days;
-  if ck.ck_total_ops <> Array.length ops then
-    corrupt_resume "resume: checkpoint expects %d operations, workload has %d" ck.ck_total_ops
+  if e.days <> days then
+    corrupt_resume "resume: checkpoint is for a %d-day run, not %d days" e.days days;
+  if e.total_ops <> Array.length ops then
+    corrupt_resume "resume: checkpoint expects %d operations, workload has %d" e.total_ops
       (Array.length ops);
-  {
-    fs = ck.ck_fs;
-    group_dirs = ck.ck_group_dirs;
-    ino_map = ck.ck_ino_map;
-    daily_scores = ck.ck_daily_scores;
-    daily_utilization = ck.ck_daily_utilization;
-    days;
-    total_ops = ck.ck_total_ops;
-    max_skip_fraction;
-    on_skip;
-    progress;
-    skipped = ck.ck_skipped;
-    next_day = ck.ck_next_day;
-  }
+  copy_engine e
 
-(* --- the resumable driver -------------------------------------------------- *)
+(* --- the one entry point ------------------------------------------------------ *)
 
 let run_resumable ?(config = Ffs.Fs.default_config) ?(backend = Ffs.Store.Heap_backend)
-    ?(progress = fun ~day:_ ~score:_ -> ()) ?(on_skip = fun _ ~skipped:_ -> ())
-    ?(max_skip_fraction = default_max_skip_fraction) ?(intensity = 4) ?resume
-    ?(should_stop = fun () -> false) ?(checkpoint_every = 0)
-    ?(on_checkpoint = fun (_ : checkpoint) -> ()) ?(scrub_every = 0)
+    ?(progress = fun ~day:_ ~score:_ -> ()) ?resume ?(should_stop = fun () -> false)
+    ?(checkpoint_every = 0) ?(on_checkpoint = fun (_ : checkpoint) -> ()) ?(scrub_every = 0)
     ?(on_scrub = fun (_ : Ffs.Check.scrub_log) -> ()) ~params ~days ~crashes ~fault_seed
     ops =
+  Obs.Trace.span "replay.run"
+    [ Obs.Trace.i "days" days; Obs.Trace.i "ops" (Array.length ops) ]
+  @@ fun () ->
   let ops_crc = ops_fingerprint ops in
   let e, rng, pending0, recoveries0, start_op =
     match resume with
     | None ->
-        let e =
-          make_engine ~config ~backend ~progress ~on_skip ~max_skip_fraction ~params ~days
-            ~total_ops:(Array.length ops)
-        in
+        let e = make_engine ~config ~backend ~params ~days ~total_ops:(Array.length ops) in
         (* the logical stream is a derived child of --fault-seed, the
            sibling of the device stream ([Fault.Device.seed_of]), so one
            seed reproduces a whole mixed-fault run *)
@@ -429,7 +402,7 @@ let run_resumable ?(config = Ffs.Fs.default_config) ?(backend = Ffs.Store.Heap_b
         let points = Fault.Plan.crash_points ~rng ~n_ops:(Array.length ops) ~crashes in
         (e, rng, points, [], 0)
     | Some ck ->
-        let e = engine_of_checkpoint ~progress ~on_skip ~max_skip_fraction ~days ~ops ~ops_crc ck in
+        let e = engine_of_checkpoint ~days ~ops ~ops_crc ck in
         (e, ck.ck_fault_rng, ck.ck_pending_crashes, ck.ck_recoveries, ck.ck_next_op)
   in
   let recoveries = ref recoveries0 in
@@ -441,11 +414,11 @@ let run_resumable ?(config = Ffs.Fs.default_config) ?(backend = Ffs.Store.Heap_b
   let i = ref start_op in
   while !interrupted = None && !i < n do
     let idx = !i in
-    step e ops.(idx);
+    step e ~progress ops.(idx);
     (match !pending with
     | p :: rest when p = idx ->
         pending := rest;
-        recoveries := crash e ~after_op:idx ~rng ~intensity :: !recoveries
+        recoveries := crash e ~after_op:idx ~rng :: !recoveries
     | _ -> ());
     incr i;
     let take () =
@@ -472,32 +445,12 @@ let run_resumable ?(config = Ffs.Fs.default_config) ?(backend = Ffs.Store.Heap_b
   done;
   match !interrupted with
   | Some ck -> `Interrupted ck
-  | None -> `Completed { result = finish e; recoveries = List.rev !recoveries }
+  | None -> `Completed { result = finish e ~progress; recoveries = List.rev !recoveries }
 
-(* --- the original entry points, now thin wrappers -------------------------- *)
-
-let completed_exn = function
-  | `Completed r -> r
+let run ?config ?backend ?progress ~params ~days ops =
+  match run_resumable ?config ?backend ?progress ~params ~days ~crashes:0 ~fault_seed:0 ops with
+  | `Completed cr -> cr.result
   | `Interrupted _ -> assert false (* no should_stop was supplied *)
-
-let run ?(config = Ffs.Fs.default_config) ?backend
-    ?(progress = fun ~day:_ ~score:_ -> ()) ?(on_skip = fun _ ~skipped:_ -> ())
-    ?(max_skip_fraction = default_max_skip_fraction) ~params ~days ops =
-  Obs.Trace.span "replay.run"
-    [ Obs.Trace.i "days" days; Obs.Trace.i "ops" (Array.length ops) ]
-  @@ fun () ->
-  (completed_exn
-     (run_resumable ~config ?backend ~progress ~on_skip ~max_skip_fraction ~params ~days
-        ~crashes:0 ~fault_seed:0 ops))
-    .result
-
-let run_with_crashes ?(config = Ffs.Fs.default_config) ?backend
-    ?(progress = fun ~day:_ ~score:_ -> ()) ?(on_skip = fun _ ~skipped:_ -> ())
-    ?(max_skip_fraction = default_max_skip_fraction) ?(intensity = 4) ~params ~days
-    ~crashes ~fault_seed ops =
-  completed_exn
-    (run_resumable ~config ?backend ~progress ~on_skip ~max_skip_fraction ~intensity
-       ~params ~days ~crashes ~fault_seed ops)
 
 let hot_inums (result : result) ~since =
   Ffs.Fs.fold_files result.fs ~init:[] ~f:(fun acc ino ->

@@ -19,39 +19,34 @@ type result = {
 }
 
 exception Too_many_skips of { skipped : int; total : int; limit : float }
-(** Raised as soon as skipped operations exceed [max_skip_fraction] of
-    the workload: an experiment silently dropping a large share of its
-    operations is not measuring what it claims to. *)
-
-val default_max_skip_fraction : float
-(** 0.9 — catastrophic-only by default; tighten per experiment. *)
+(** Raised as soon as skipped operations exceed 90% ([limit]) of the
+    workload: an experiment silently dropping that share of its
+    operations is not measuring what it claims to. Every skip also
+    counts in [skipped_ops] and the [replay_skips_total] counter. *)
 
 val run :
   ?config:Ffs.Fs.config ->
   ?backend:Ffs.Store.spec ->
   ?progress:(day:int -> score:float -> unit) ->
-  ?on_skip:(Workload.Op.t -> skipped:int -> unit) ->
-  ?max_skip_fraction:float ->
   params:Ffs.Params.t ->
   days:int ->
   Workload.Op.t array ->
   result
-(** Replay a time-sorted workload. [config] selects the allocator under
-    test (default: traditional FFS); [backend] selects the volume's
-    storage backend (default in-heap; the aged image is bit-identical
-    either way). [on_skip] observes every dropped operation with the
-    running skip count (default: ignore); [max_skip_fraction] bounds the
-    tolerated skips as a fraction of the whole workload, raising
-    {!Too_many_skips} mid-run when crossed. *)
+(** Replay a time-sorted workload: {!run_resumable} with no crashes, no
+    checkpoints and no stop request. [config] selects the allocator
+    under test (default: traditional FFS); [backend] selects the
+    volume's storage backend (default in-heap; the aged image is
+    bit-identical either way); [progress] sees each day's score. *)
 
 (** {2 Crash-consistent replay}
 
     The hostile-disk mode: the same replay, but power fails after
-    selected operations. Each crash tears a burst of metadata writes
-    (a seeded {!Fault.Plan}), then [Check.repair] restores consistency
-    — exactly a reboot-time fsck — and the replay resumes. The daily
-    score series therefore shows what the paper's Figure 1 curves look
-    like when the aging run itself must survive recovery. *)
+    selected operations. Each crash tears a burst of about four
+    metadata writes (a seeded {!Fault.Plan}), then [Check.repair]
+    restores consistency — exactly a reboot-time fsck — and the replay
+    resumes. The daily score series therefore shows what the paper's
+    Figure 1 curves look like when the aging run itself must survive
+    recovery. *)
 
 type recovery = {
   after_op : int;  (** index of the operation the crash followed *)
@@ -65,25 +60,6 @@ type recovery = {
 }
 
 type crash_result = { result : result; recoveries : recovery list }
-
-val run_with_crashes :
-  ?config:Ffs.Fs.config ->
-  ?backend:Ffs.Store.spec ->
-  ?progress:(day:int -> score:float -> unit) ->
-  ?on_skip:(Workload.Op.t -> skipped:int -> unit) ->
-  ?max_skip_fraction:float ->
-  ?intensity:int ->
-  params:Ffs.Params.t ->
-  days:int ->
-  crashes:int ->
-  fault_seed:int ->
-  Workload.Op.t array ->
-  crash_result
-(** Replay with [crashes] power failures at deterministic,
-    [fault_seed]-drawn operation indices; each crash injects about
-    [intensity] (default 4) torn metadata writes before recovery. With
-    [crashes = 0] this is exactly {!run}. The final image is always
-    fsck-clean: every crash is followed by a full repair. *)
 
 (** {2 Checkpoint/resume}
 
@@ -162,9 +138,6 @@ val run_resumable :
   ?config:Ffs.Fs.config ->
   ?backend:Ffs.Store.spec ->
   ?progress:(day:int -> score:float -> unit) ->
-  ?on_skip:(Workload.Op.t -> skipped:int -> unit) ->
-  ?max_skip_fraction:float ->
-  ?intensity:int ->
   ?resume:checkpoint ->
   ?should_stop:(unit -> bool) ->
   ?checkpoint_every:int ->
@@ -177,8 +150,13 @@ val run_resumable :
   fault_seed:int ->
   Workload.Op.t array ->
   [ `Completed of crash_result | `Interrupted of checkpoint ]
-(** The engine beneath {!run} and {!run_with_crashes}, with pause and
-    resume.
+(** The one replay entry point: every replay, {!run} included, goes
+    through it and records one [replay.run] trace span.
+
+    [crashes] power failures strike at deterministic, [fault_seed]-drawn
+    operation indices; with [crashes = 0] the run is exactly {!run}. The
+    final image is always fsck-clean: every crash is followed by a full
+    repair.
 
     [resume] continues from a checkpoint instead of an empty file
     system; the same workload, [days] and (for crash runs) fault

@@ -21,9 +21,8 @@
       its base backend — the remap is provably the identity, so even
       the bitmap layer's heap fast path still engages.
 
-    The byte contract both base representations implement (and
-    {!module-type-S} documents for external backends): addresses are
-    absolute offsets into the store, reads see the latest write, and
+    The byte contract both base representations implement: addresses
+    are absolute offsets into the store, reads see the latest write, and
     placements must not depend on the representation — the differential
     suite pins [Heap] and [Map] images bit-identical.
 
@@ -33,17 +32,6 @@
     The dirty map, fault injection and quarantine state are deliberately
     unsynchronised: a store must only be driven by one domain at a
     time. *)
-
-(** The backend contract, for plugging in an external representation via
-    {!custom}.  [get]/[set] take absolute byte offsets in
-    [0 .. length-1]; [sync] makes previous writes durable (a no-op for
-    volatile backends). *)
-module type S = sig
-  val length : int
-  val get : int -> char
-  val set : int -> char -> unit
-  val sync : unit -> unit
-end
 
 type t
 
@@ -116,7 +104,6 @@ val create : spec -> length:int -> chunk_bytes:int -> t
 
 val heap : length:int -> chunk_bytes:int -> t
 val mmap : ?path:string -> length:int -> chunk_bytes:int -> unit -> t
-val custom : (module S) -> chunk_bytes:int -> t
 
 val length : t -> int
 val chunk_bytes : t -> int
@@ -149,7 +136,7 @@ val backing_path : t -> string option
 
 val repr_name : t -> string
 (** The representation, for display: ["bytes"], ["mmap"],
-    ["mmap:PATH"], ["custom"], or those prefixed by ["resilient:"] /
+    ["mmap:PATH"], or those prefixed by ["resilient:"] /
     ["faulty:"] for the self-healing layers. *)
 
 val get_byte : t -> int -> char

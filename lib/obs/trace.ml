@@ -7,16 +7,10 @@ type sink = Null | Jsonl of out_channel
 type state = {
   mutex : Mutex.t;
   mutable sink : sink;
-  mutable ring : span array; (* capacity fixed at enable time *)
-  mutable pos : int; (* next slot to overwrite *)
-  mutable filled : int; (* <= Array.length ring *)
   mutable recorded : int; (* total spans ever recorded *)
 }
 
-let nil = { name = ""; ts = 0.0; dur = 0.0; attrs = [] }
-
-let state =
-  { mutex = Mutex.create (); sink = Null; ring = [||]; pos = 0; filled = 0; recorded = 0 }
+let state = { mutex = Mutex.create (); sink = Null; recorded = 0 }
 
 let on = Atomic.make false
 
@@ -43,11 +37,6 @@ let span_of_json j =
 
 let record span =
   Mutex.lock state.mutex;
-  if Array.length state.ring > 0 then begin
-    state.ring.(state.pos) <- span;
-    state.pos <- (state.pos + 1) mod Array.length state.ring;
-    state.filled <- min (state.filled + 1) (Array.length state.ring)
-  end;
   state.recorded <- state.recorded + 1;
   (match state.sink with
   | Null -> ()
@@ -74,13 +63,10 @@ let span name attrs f =
         Printexc.raise_with_backtrace e bt
   end
 
-let enable ?(ring_capacity = 1024) ?jsonl () =
+let enable ?jsonl () =
   Mutex.lock state.mutex;
   (match state.sink with Jsonl oc -> close_out oc | Null -> ());
   state.sink <- (match jsonl with Some path -> Jsonl (open_out path) | None -> Null);
-  state.ring <- Array.make (max 0 ring_capacity) nil;
-  state.pos <- 0;
-  state.filled <- 0;
   state.recorded <- 0;
   Mutex.unlock state.mutex;
   Atomic.set on true
@@ -100,16 +86,6 @@ let flush () =
   Mutex.lock state.mutex;
   (match state.sink with Jsonl oc -> flush oc | Null -> ());
   Mutex.unlock state.mutex
-
-let recent () =
-  Mutex.lock state.mutex;
-  let cap = Array.length state.ring in
-  let n = state.filled in
-  (* oldest first: the slot after [pos] when full, slot 0 otherwise *)
-  let start = if n < cap then 0 else state.pos in
-  let spans = List.init n (fun i -> state.ring.((start + i) mod cap)) in
-  Mutex.unlock state.mutex;
-  spans
 
 let recorded () =
   Mutex.lock state.mutex;

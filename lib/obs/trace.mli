@@ -1,7 +1,6 @@
 (** The span tracer: a process-wide stream of timestamped, attributed
-    events backed by a fixed-size ring buffer (the recent history kept
-    in memory) and an optional JSONL file sink (the full stream on
-    disk).
+    events written to an optional JSONL file sink, with a running count
+    of the spans recorded.
 
     The tracer is disabled by default; every emit function first checks
     one atomic flag and returns immediately while off, so allocator hot
@@ -24,14 +23,13 @@ type span = {
 val enabled : unit -> bool
 (** One atomic load — cheap enough to guard per-block call sites. *)
 
-val enable : ?ring_capacity:int -> ?jsonl:string -> unit -> unit
-(** Turn the tracer on with a fresh ring of [ring_capacity] spans
-    (default 1024) and, when [jsonl] is given, a line-per-span JSON file
-    sink (truncated). Counters reset. *)
+val enable : ?jsonl:string -> unit -> unit
+(** Turn the tracer on and, when [jsonl] is given, open a line-per-span
+    JSON file sink (truncated). The {!recorded} count resets. *)
 
 val disable : unit -> unit
-(** Turn the tracer off and flush + close the JSONL sink. The ring is
-    kept readable via {!recent}. *)
+(** Turn the tracer off and flush + close the JSONL sink. {!recorded}
+    stays readable. *)
 
 val flush : unit -> unit
 (** Flush the JSONL sink without disabling. *)
@@ -43,12 +41,8 @@ val span : string -> attr list -> (unit -> 'a) -> 'a
 (** [span name attrs f] runs [f] and records its wall-clock duration,
     also when [f] raises. While disabled it is exactly [f ()]. *)
 
-val recent : unit -> span list
-(** The ring's contents, oldest first (at most [ring_capacity] spans). *)
-
 val recorded : unit -> int
-(** Total spans recorded since {!enable} — exceeds
-    [List.length (recent ())] once the ring has wrapped. *)
+(** Total spans recorded since {!enable}. *)
 
 val span_to_json : span -> Json.t
 val span_of_json : Json.t -> (span, string) result

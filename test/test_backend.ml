@@ -106,14 +106,19 @@ let test_fault_repair_differential () =
   check_int "same faults injected" nh nm;
   check_string "repaired image digest identical" dh dm
 
+let completed = function
+  | `Completed cr -> cr
+  | `Interrupted _ -> Alcotest.fail "run was unexpectedly interrupted"
+
 (* crash-injected replay and the exhaustive crash-state explorer *)
 let test_crash_pipeline_differential () =
   let days = 4 in
   let ops = build_ops small ~days ~seed:77 in
   let pipeline backend =
     let cr =
-      Aging.Replay.run_with_crashes ~backend ~params:small ~days ~crashes:2
-        ~fault_seed:666 ops
+      completed
+        (Aging.Replay.run_resumable ~backend ~params:small ~days ~crashes:2
+           ~fault_seed:666 ops)
     in
     let fs = cr.Aging.Replay.result.Aging.Replay.fs in
     let report = Recover.Explore.run ~window:2 fs in
@@ -129,10 +134,6 @@ let test_crash_pipeline_differential () =
   check_string "post-crash image digest identical" dh dm
 
 (* --- delta checkpoints ------------------------------------------------------ *)
-
-let completed = function
-  | `Completed cr -> cr
-  | `Interrupted _ -> Alcotest.fail "run was unexpectedly interrupted"
 
 let days = 6
 

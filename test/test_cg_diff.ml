@@ -200,7 +200,11 @@ let test_pipeline_pin config_name config () =
 let test_crash_pipeline_pin () =
   let days = 4 in
   let ops = aged_ops ~days ~seed:3 in
-  let go () = Aging.Replay.run_with_crashes ~params ~days ~crashes:2 ~fault_seed:7 ops in
+  let go () =
+    match Aging.Replay.run_resumable ~params ~days ~crashes:2 ~fault_seed:7 ops with
+    | `Completed cr -> cr
+    | `Interrupted _ -> Alcotest.fail "run was unexpectedly interrupted"
+  in
   let c_i = go () in
   let c_r = Ffs.Cg.with_reference_searches go in
   check_bool "same number of recoveries" true

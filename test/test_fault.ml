@@ -140,10 +140,15 @@ let prop_random_plan_repairs_clean =
 
 (* --- crash-consistent replay ----------------------------------------------- *)
 
+let crash_run ?config ~crashes ~fault_seed ops =
+  match Aging.Replay.run_resumable ?config ~params ~days ~crashes ~fault_seed ops with
+  | `Completed cr -> cr
+  | `Interrupted _ -> Alcotest.fail "run was unexpectedly interrupted"
+
 let test_crashes_zero_matches_plain_run () =
   let ops = base_ops () in
   let plain = Aging.Replay.run ~params ~days ops in
-  let cr = Aging.Replay.run_with_crashes ~params ~days ~crashes:0 ~fault_seed:1 ops in
+  let cr = crash_run ~crashes:0 ~fault_seed:1 ops in
   check_int "no recoveries" 0 (List.length cr.Aging.Replay.recoveries);
   Alcotest.(check (array (float 0.0)))
     "identical daily scores" plain.Aging.Replay.daily_scores
@@ -154,9 +159,7 @@ let test_crash_replay_recovers_and_scores_close () =
   List.iter
     (fun (label, config) ->
       let plain = Aging.Replay.run ~config ~params ~days ops in
-      let cr =
-        Aging.Replay.run_with_crashes ~config ~params ~days ~crashes:3 ~fault_seed:97 ops
-      in
+      let cr = crash_run ~config ~crashes:3 ~fault_seed:97 ops in
       check_int (label ^ ": three recoveries") 3 (List.length cr.Aging.Replay.recoveries);
       List.iter
         (fun (r : Aging.Replay.recovery) ->
@@ -178,7 +181,7 @@ let test_crash_replay_recovers_and_scores_close () =
 
 let test_crash_replay_deterministic () =
   let ops = base_ops () in
-  let go () = Aging.Replay.run_with_crashes ~params ~days ~crashes:3 ~fault_seed:123 ops in
+  let go () = crash_run ~crashes:3 ~fault_seed:123 ops in
   let a = go () and b = go () in
   Alcotest.(check (array (float 0.0)))
     "identical scores" a.Aging.Replay.result.Aging.Replay.daily_scores
@@ -202,27 +205,36 @@ let unsatisfiable_ops n =
 
 let test_skip_guard_raises () =
   let ops = unsatisfiable_ops 20 in
-  match Aging.Replay.run ~params ~days:1 ~max_skip_fraction:0.25 ops with
+  match Aging.Replay.run ~params ~days:1 ops with
   | _ -> Alcotest.fail "expected Too_many_skips"
   | exception Aging.Replay.Too_many_skips { skipped; total; limit } ->
       check_int "total recorded" 20 total;
-      check_int "raised at the first skip past the limit" 6 skipped;
-      check_bool "limit echoed" true (limit = 0.25)
+      (* 0.9 x 20 = 18 skips are tolerated; the 19th crosses the limit *)
+      check_int "raised at the first skip past the limit" 19 skipped;
+      check_bool "limit echoed" true (limit = 0.9)
 
-let test_on_skip_observes_every_skip () =
-  let ops = unsatisfiable_ops 8 in
-  let seen = ref 0 in
-  let r =
-    Aging.Replay.run ~params ~days:1 ~max_skip_fraction:1.0
-      ~on_skip:(fun op ~skipped ->
-        incr seen;
-        check_int "running count" !seen skipped;
-        check_bool "op is a modify" true
-          (match op with Workload.Op.Modify _ -> true | _ -> false))
-      ops
+(* below the guard every skip is counted, in the result and in the
+   metrics registry: 8 bad ops among 100 good creates *)
+let test_every_skip_counted () =
+  let bad = 8 in
+  let ops =
+    Array.append (unsatisfiable_ops bad)
+      (Array.init 100 (fun i ->
+           Workload.Op.Create { ino = i; size = 1024; time = float_of_int (bad + i) }))
   in
-  check_int "all skips observed" 8 !seen;
-  check_int "result agrees" 8 r.Aging.Replay.skipped_ops
+  let m = Obs.Metrics.default in
+  let was_enabled = Obs.Metrics.enabled m in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.reset m;
+      Obs.Metrics.set_enabled m was_enabled)
+    (fun () ->
+      Obs.Metrics.reset m;
+      Obs.Metrics.set_enabled m true;
+      let r = Aging.Replay.run ~params ~days:1 ops in
+      check_int "skipped_ops" bad r.Aging.Replay.skipped_ops;
+      check_int "replay_skips_total" bad
+        (Obs.Metrics.counter_total (Obs.Metrics.snapshot m) "replay_skips_total"))
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -251,6 +263,6 @@ let () =
       ( "skip-guard",
         [
           tc "raises past the limit" test_skip_guard_raises;
-          tc "on_skip sees every skip" test_on_skip_observes_every_skip;
+          tc "every skip counted" test_every_skip_counted;
         ] );
     ]

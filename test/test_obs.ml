@@ -1,7 +1,7 @@
 (* Tests for the observability subsystem: metrics registry edge cases,
-   trace ring buffer and JSONL sink, heatmap accounting, and a replay
-   smoke test tying the allocation counters to the allocator's own
-   block accounting. *)
+   the trace JSONL sink, heatmap accounting, one replay.run span per
+   replay however it is driven, and a replay smoke test tying the
+   allocation counters to the allocator's own block accounting. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -104,26 +104,6 @@ let test_text_export () =
 
 (* --- trace ------------------------------------------------------------------- *)
 
-let test_ring_wraparound () =
-  Obs.Trace.enable ~ring_capacity:8 ();
-  for i = 1 to 20 do
-    Obs.Trace.event "e" [ Obs.Trace.i "n" i ]
-  done;
-  Obs.Trace.disable ();
-  check_int "total recorded" 20 (Obs.Trace.recorded ());
-  let recent = Obs.Trace.recent () in
-  check_int "ring keeps capacity" 8 (List.length recent);
-  (* oldest-first: the ring holds events 13..20 *)
-  let ns =
-    List.map
-      (fun sp ->
-        match List.assoc "n" sp.Obs.Trace.attrs with
-        | Obs.Json.Int n -> n
-        | _ -> -1)
-      recent
-  in
-  Alcotest.(check (list int)) "oldest first" [ 13; 14; 15; 16; 17; 18; 19; 20 ] ns
-
 let test_span_json_roundtrip () =
   let sp =
     {
@@ -153,6 +133,7 @@ let test_jsonl_sink_roundtrip () =
   let v = Obs.Trace.span "two" [ Obs.Trace.s "tag" "x" ] (fun () -> 41 + 1) in
   check_int "span returns f's result" 42 v;
   Obs.Trace.disable ();
+  check_int "total recorded" 2 (Obs.Trace.recorded ());
   let spans = Obs.Trace.load_jsonl path in
   Sys.remove path;
   Alcotest.(check (list string)) "names in order" [ "one"; "two" ]
@@ -164,6 +145,46 @@ let test_jsonl_sink_roundtrip () =
 let test_disabled_trace_is_passthrough () =
   (* disabled: span still runs the thunk and propagates the result *)
   check_int "passthrough" 7 (Obs.Trace.span "x" [] (fun () -> 7))
+
+(* every way of driving a replay records exactly one replay.run span:
+   the plain run, a crash run, and both halves of a checkpointed run *)
+let test_one_replay_span_per_run () =
+  let params = Ffs.Params.small_test_fs and days = 4 in
+  let ops =
+    (Workload.Ground_truth.generate params (Workload.Ground_truth.scaled params ~days))
+      .Workload.Ground_truth.ops
+  in
+  let replay_spans f =
+    let path = Filename.temp_file "obs_replay" ".jsonl" in
+    Obs.Trace.enable ~jsonl:path ();
+    let v = Fun.protect ~finally:Obs.Trace.disable f in
+    let spans = Obs.Trace.load_jsonl path in
+    Sys.remove path;
+    (v, List.length (List.filter (fun sp -> sp.Obs.Trace.name = "replay.run") spans))
+  in
+  let resumable ?resume ~crashes () =
+    Aging.Replay.run_resumable ?resume ~params ~days ~crashes ~fault_seed:5 ops
+  in
+  let _, n = replay_spans (fun () -> Aging.Replay.run ~params ~days ops) in
+  check_int "plain run" 1 n;
+  let _, n = replay_spans (resumable ~crashes:2) in
+  check_int "crash run" 1 n;
+  let stop = ref false in
+  let interrupted, n =
+    replay_spans (fun () ->
+        Aging.Replay.run_resumable ~checkpoint_every:2
+          ~on_checkpoint:(fun _ -> stop := true)
+          ~should_stop:(fun () -> !stop)
+          ~params ~days ~crashes:1 ~fault_seed:5 ops)
+  in
+  check_int "checkpointed run" 1 n;
+  match interrupted with
+  | `Completed _ -> Alcotest.fail "expected the run to stop at its checkpoint"
+  | `Interrupted ck ->
+      let resumed, n = replay_spans (resumable ~resume:ck ~crashes:1) in
+      check_int "resumed run" 1 n;
+      check_bool "resumed run completes" true
+        (match resumed with `Completed _ -> true | `Interrupted _ -> false)
 
 (* --- heatmap ----------------------------------------------------------------- *)
 
@@ -237,10 +258,10 @@ let () =
         ] );
       ( "trace",
         [
-          tc "ring wraparound" test_ring_wraparound;
           tc "span json round-trip" test_span_json_roundtrip;
           tc "jsonl sink round-trip" test_jsonl_sink_roundtrip;
           tc "disabled passthrough" test_disabled_trace_is_passthrough;
+          tc "one replay.run span per replay" test_one_replay_span_per_run;
         ] );
       ("heatmap", [ tc "counts and render" test_heatmap_counts ]);
       ("smoke", [ tc "replay counters match allocator stats" test_replay_smoke ]);

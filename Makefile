@@ -1,6 +1,6 @@
 # Convenience targets; `make verify` is the tier-1 gate.
 
-.PHONY: all build test verify fmt bench bench-alloc bench-fleet bench-backend bench-rebaseline figures crash-matrix crash-explore metrics-smoke freespace-smoke fleet-smoke backend-smoke scrub-smoke chaos-soak clean
+.PHONY: all build test verify fmt bench bench-alloc bench-fleet bench-backend bench-rebaseline figures crash-matrix crash-explore metrics-smoke freespace-smoke fleet-smoke backend-smoke scrub-smoke chaos-soak examples clean
 
 all: build
 
@@ -10,13 +10,14 @@ build:
 test:
 	dune runtest
 
-# the full gate: everything compiles, every suite passes, the
-# crash-consistency smoke matrix comes back fsck-clean, the
-# observability pipeline emits a parseable trace + metrics snapshot,
-# and the three committed benchmarks pass their gates
+# the full gate: everything compiles, every suite passes, the example
+# programs run, the crash-consistency smoke matrix comes back
+# fsck-clean, the observability pipeline emits a parseable trace +
+# metrics snapshot, and the three committed benchmarks pass their gates
 verify:
 	dune build
 	dune runtest
+	$(MAKE) examples
 	$(MAKE) crash-matrix
 	$(MAKE) crash-explore
 	$(MAKE) metrics-smoke
@@ -27,6 +28,15 @@ verify:
 	$(MAKE) bench-alloc
 	$(MAKE) bench-fleet
 	$(MAKE) bench-backend
+
+# the four example programs, each run to completion (a few seconds in
+# all); any nonzero exit fails the target
+examples:
+	@dune build examples
+	@for e in quickstart aging_demo allocator_comparison custom_workload; do \
+		echo "== examples/$$e =="; \
+		dune exec examples/$$e.exe > /dev/null || exit 1; \
+	done
 
 # crash-consistency smoke: a small ground-truth workload through
 # {0,1,3} injected crashes on both allocators (each crash is torn

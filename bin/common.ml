@@ -219,15 +219,9 @@ let backend_term =
    on the spelling. *)
 let store_faults_conv =
   let parse s =
-    match Ffs.Store.Device.of_string s with
-    | Some plan -> Ok plan
-    | None ->
-        Error
-          (`Msg
-            (Fmt.str
-               "bad fault spec %S (expected none or k=v pairs from transient=P, \
-                latent=N, bitrot=N, torn=N, horizon=D)"
-               s))
+    Result.map_error
+      (fun e -> `Msg (Fmt.str "bad fault spec %S: %a" s Ffs.Error.pp e))
+      (Ffs.Store.Device.of_string s)
   in
   Arg.conv (parse, Ffs.Store.Device.pp)
 
@@ -257,7 +251,7 @@ let resolve_backend ~backend ~store_faults ~fault_seed =
   | None -> backend
   | Some plan ->
       Ffs.Store.resilient_spec ~faults:plan
-        ~seed:(Fault.Device.seed_of ~fault_seed)
+        ~seed:(Fault.Plan.device_seed ~fault_seed)
         (Ffs.Store.base_spec backend)
 
 let crashes_term =

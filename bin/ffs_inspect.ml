@@ -54,9 +54,10 @@ let print_header image_path =
 
 (* --freespace: dump the allocator's free-extent index — a per-group
    histogram of maximal free extents bucketed by power-of-two run
-   length. This walks the search structure the indexed allocator uses,
-   not a fresh bitmap scan, so it is also a quick eyeball check of the
-   index against the layout report. *)
+   length. It is folded from the index's run summary (the per-length
+   run counts the realloc pass consults), not a fresh bitmap scan, so
+   it is also a quick eyeball check of the index against the layout
+   report. *)
 let print_freespace fs =
   let cgs = Ffs.Fs.cg_states fs in
   let hists = Array.map Ffs.Cg.extent_histogram cgs in

@@ -396,7 +396,7 @@ let run_resumable ?(config = Ffs.Fs.default_config) ?(backend = Ffs.Store.Heap_b
     | None ->
         let e = make_engine ~config ~backend ~params ~days ~total_ops:(Array.length ops) in
         (* the logical stream is a derived child of --fault-seed, the
-           sibling of the device stream ([Fault.Device.seed_of]), so one
+           sibling of the device stream ([Fault.Plan.device_seed]), so one
            seed reproduces a whole mixed-fault run *)
         let rng = Util.Prng.create ~seed:(Fault.Plan.logical_seed ~fault_seed) in
         let points = Fault.Plan.crash_points ~rng ~n_ops:(Array.length ops) ~crashes in

@@ -20,6 +20,7 @@ type context = {
 let params t = t.params
 let days t = t.days
 let timings t = t.timings
+let aged_ground_truth t = t.aged_real
 let aged_traditional t = t.aged_trad
 let aged_realloc t = t.aged_re
 let workload_stats t = Workload.Op.stats t.recon

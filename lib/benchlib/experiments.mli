@@ -37,6 +37,10 @@ val days : context -> int
 val timings : context -> Par.Timings.t
 (** The per-task timing report collected so far (replays, sweeps). *)
 
+val aged_ground_truth : context -> Aging.Replay.result
+(** The ground-truth workload aged on traditional FFS (the "real"
+    series of figure 1). *)
+
 val aged_traditional : context -> Aging.Replay.result
 val aged_realloc : context -> Aging.Replay.result
 val workload_stats : context -> Workload.Op.stats

@@ -92,5 +92,6 @@ let pp ppf s =
 
 (* One --fault-seed reproduces a whole mixed-fault run: the logical
    corruption stream (this module + Inject) and the device stream
-   (Device) are sibling children of the same seed. *)
+   ([Ffs.Store.Device] plans) are sibling children of the same seed. *)
 let logical_seed ~fault_seed = Util.Prng.derive ~seed:fault_seed ~index:0
+let device_seed ~fault_seed = Util.Prng.derive ~seed:fault_seed ~index:1

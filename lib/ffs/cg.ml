@@ -5,8 +5,7 @@ type t = {
   region_base : int;  (* byte offset of the group's region in [store] *)
   frag_used : Bitmap.t;  (* one bit per data fragment; set = allocated *)
   block_used : Bitmap.t;  (* one bit per block slot; set = any fragment used *)
-  runs : Run_index.t;  (* incremental free-run summary (cg_clustersum) *)
-  ext : Extent_index.t;  (* indexed free-space summary over the bitmaps *)
+  ext : Extent_index.t;  (* derived free-space index, incl. the cluster summary *)
   inode_used : Bitmap.t;
   mutable nffree : int;
   mutable nbfree : int;
@@ -34,7 +33,6 @@ let create_in ~store ~base params ~index =
       Bitmap.of_store store ~base:(base + regions.Store.Layout.frag_off) ~len:nfrags;
     block_used =
       Bitmap.of_store store ~base:(base + regions.Store.Layout.block_off) ~len:nblocks;
-    runs = Run_index.create nblocks;
     ext = Extent_index.create ~nblocks ~fpb:params.Params.frags_per_block;
     inode_used =
       Bitmap.of_store store ~base:(base + regions.Store.Layout.inode_off) ~len:ninodes;
@@ -69,7 +67,6 @@ let rebind t ~store =
     inode_used =
       Bitmap.of_store store ~base:(Bitmap.base t.inode_used)
         ~len:(Bitmap.length t.inode_used);
-    runs = Run_index.copy t.runs;
     ext = Extent_index.copy t.ext;
   }
 
@@ -114,7 +111,6 @@ let claim_frags t ~pos ~count =
   for b = first_block to last_block do
     if not (Bitmap.get t.block_used b) then begin
       Bitmap.set t.block_used b;
-      Run_index.allocate t.runs b;
       t.nbfree <- t.nbfree - 1
     end
   done;
@@ -130,7 +126,6 @@ let free_frags t ~pos ~count =
     if Bitmap.get t.block_used b && Bitmap.all_clear t.frag_used ~pos:(b * fpb) ~len:fpb
     then begin
       Bitmap.clear t.block_used b;
-      Run_index.free t.runs b;
       t.nbfree <- t.nbfree + 1
     end
   done;
@@ -269,19 +264,18 @@ let idx_partial_fit t ~start_block ~count =
   end
 
 (* first window of [len] free blocks at index >= [pos]: hop from free
-   run to free run (run end = next used block) instead of bit-walking *)
+   run to free run instead of bit-walking. Every hop but the first lands
+   on a run start, whose end the run summary gives in O(1); the first
+   may land inside a run only when [pos] is the preference that
+   [exact_at_pref] just rejected, so that run ends fewer than [len]
+   blocks on and finding its end costs at most [2 * len] probes *)
 let rec idx_first_fit_from t ~pos ~len =
-  let n = data_blocks t in
   match Extent_index.succ_free t.ext ~start:pos with
   | None -> None
   | Some s ->
-      if s + len > n then None
+      if s + len > data_blocks t then None
       else begin
-        let e =
-          match Extent_index.succ_used t.ext ~start:s with
-          | Some u -> u - 1
-          | None -> n - 1
-        in
+        let e = Extent_index.run_end t.ext s in
         if e - s + 1 >= len then Some s else idx_first_fit_from t ~pos:(e + 1) ~len
       end
 
@@ -303,7 +297,9 @@ let idx_cluster_best_fit t ~len =
      winner is then the first run of exactly that length *)
   let n = data_blocks t in
   let rec shortest l =
-    if l > n then None else if Run_index.count_of_length t.runs l > 0 then Some l else shortest (l + 1)
+    if l > n then None
+    else if Extent_index.count_of_length t.ext l > 0 then Some l
+    else shortest (l + 1)
   in
   match shortest len with
   | None -> None
@@ -312,11 +308,7 @@ let idx_cluster_best_fit t ~len =
         match Extent_index.succ_free t.ext ~start:pos with
         | None -> None
         | Some s ->
-            let e =
-              match Extent_index.succ_used t.ext ~start:s with
-              | Some u -> u - 1
-              | None -> n - 1
-            in
+            let e = Extent_index.run_end t.ext s in
             if e - s + 1 = target then Some s else find (e + 1)
       in
       find 0
@@ -395,7 +387,7 @@ let alloc_cluster_with s t ~policy ~pref ~len =
   assert (len >= 1);
   (* the cluster summary rejects hopeless requests without a scan — the
      point of cg_clustersum in the real file system *)
-  if t.nbfree < len || not (Run_index.has_run t.runs ~len) then None
+  if t.nbfree < len || len > Extent_index.longest t.ext then None
   else begin
     let nblocks = data_blocks t in
     let start = match pref with Some b -> b mod nblocks | None -> 0 in
@@ -442,9 +434,9 @@ module Reference = struct
     alloc_cluster_with scan_searches t ~policy ~pref ~len
 end
 
-let longest_free_run t = Run_index.longest t.runs
+let longest_free_run t = Extent_index.longest t.ext
 
-let free_run_histogram t ~max = Run_index.histogram t.runs ~max
+let free_run_histogram t ~max = Extent_index.run_histogram t.ext ~max
 
 let extent_histogram t = Extent_index.histogram t.ext
 
@@ -489,7 +481,6 @@ let reset t =
   Bitmap.clear_range t.block_used ~pos:0 ~len:nblocks;
   (* unconditional: the on-store bitmaps may themselves be corrupt
      (device bit rot), so nothing here may be driven by their contents *)
-  Run_index.reset t.runs;
   Extent_index.reset t.ext;
   Bitmap.clear_range t.inode_used ~pos:0 ~len:(Bitmap.length t.inode_used);
   t.nffree <- nfrags;
@@ -501,10 +492,9 @@ let reset t =
 
 (* The corrupt_* operations model torn metadata writes: they change one
    on-disk structure without the coordinated updates a live allocator
-   performs, so counters, bitmaps, the run index and the extent index
-   deliberately fall out of sync. Only {!Check.repair} (via {!reset} and
-   the mark_* rebuilders) restores consistency; no allocation may run in
-   between. *)
+   performs, so counters, bitmaps and the extent index deliberately fall
+   out of sync. Only {!Check.repair} (via {!reset} and the mark_*
+   rebuilders) restores consistency; no allocation may run in between. *)
 
 let corrupt_clear_frag t f = Bitmap.clear t.frag_used f
 
@@ -533,22 +523,19 @@ let corrupt_index_toggle_fit t b ~len = Extent_index.corrupt_toggle_fit t.ext b 
 (* --- consistency ---------------------------------------------------------- *)
 
 let audit_index t =
-  let ext =
-    Extent_index.audit t.ext ~frag_free:(fun f -> not (Bitmap.get t.frag_used f))
-  in
-  let runs =
-    (* audit a copy: [Run_index.check] settles the cached longest-run
-       hint as a side effect, and an fsck audit must not perturb the
-       image it inspects (the differential suite compares marshalled
-       bytes across audits) *)
-    match
-      Run_index.check (Run_index.copy t.runs)
-        ~bitmap_free:(fun b -> not (Bitmap.get t.block_used b))
-    with
-    | () -> []
-    | exception Error.Error (Error.Corrupt msg) -> [ msg ]
-  in
-  ext @ runs
+  let ext = Extent_index.audit t.ext ~frag_free:(frag_is_free t) in
+  (* the persisted block bitmap against the index's classification of
+     each block, which the audit above holds to the fragment bitmap *)
+  let blocks = ref [] in
+  for b = data_blocks t - 1 downto 0 do
+    let indexed = Extent_index.block_maxrun t.ext b = fpb t in
+    if block_is_free t b <> indexed then
+      blocks :=
+        Fmt.str "block %d: block bitmap says free=%b, index says free=%b" b
+          (block_is_free t b) indexed
+        :: !blocks
+  done;
+  ext @ !blocks
 
 let check_invariants t =
   assert (t.nffree = Bitmap.count_clear t.frag_used);
@@ -559,8 +546,7 @@ let check_invariants t =
     let any_used = not (Bitmap.all_clear t.frag_used ~pos:(b * fpb) ~len:fpb) in
     assert (Bitmap.get t.block_used b = any_used)
   done;
-  Run_index.check t.runs ~bitmap_free:(fun b -> not (Bitmap.get t.block_used b));
-  match Extent_index.audit t.ext ~frag_free:(fun f -> not (Bitmap.get t.frag_used f)) with
+  match audit_index t with
   | [] -> ()
   | msg :: _ -> Error.raise_ (Error.Corrupt msg)
 
@@ -568,9 +554,9 @@ let check_invariants t =
 
 (* The group's canonical serialisation: the persisted bytes (the three
    bitmaps, raw) plus the superblock-level counters and the rotor.
-   Derived state — the run summary and the extent index — is rebuilt
-   from the bitmaps on load, exactly as {!Check.repair} rebuilds it, so
-   the form is independent of query history (the lazily-settled
+   Derived state — the extent index with its run summary — is rebuilt
+   from the fragment bitmap on load, exactly as {!Check.repair} rebuilds
+   it, so the form is independent of query history (the lazily-settled
    longest-run hint never reaches disk) and of the storage backend.
    Checkpoints, aged images and digests all go through it. *)
 type portable = {
@@ -617,9 +603,6 @@ let load_portable t p =
   Bitmap.load t.frag_used p.p_frag_bits;
   Bitmap.load t.block_used p.p_block_bits;
   Bitmap.load t.inode_used p.p_inode_bits;
-  for b = 0 to data_blocks t - 1 do
-    if Bitmap.get t.block_used b then Run_index.allocate t.runs b
-  done;
   sync_index t ~first_block:0 ~last_block:(data_blocks t - 1);
   t.nffree <- p.p_nffree;
   t.nbfree <- p.p_nbfree;

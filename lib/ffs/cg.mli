@@ -8,14 +8,16 @@
 
     Every placement question — first free block, nearest-in-cylinder,
     partial-block fragment fit, cluster run — is answered by the group's
-    {!Extent_index} in O(log); the seed's word-by-word bitmap scans are
-    kept verbatim behind {!module-Reference} as the placement oracle,
-    and the differential suite pins the two bit-identical.
+    {!Extent_index}, its one derived free-space structure; the seed's
+    word-by-word bitmap scans are kept verbatim behind
+    {!module-Reference} as the placement oracle, and the differential
+    suite pins the two bit-identical.
 
     Invariants (checked by [check_invariants]):
     - a block-slot bit is set iff any of its fragments is set;
     - [free_frags] and [free_blocks] agree with the bitmaps;
-    - the run index and the extent index agree with the bitmaps. *)
+    - the extent index, run summary included, agrees with the fragment
+      bitmap, and the block bitmap with the index. *)
 
 type t
 
@@ -134,6 +136,8 @@ val with_reference_searches : (unit -> 'a) -> 'a
     reentrant, not thread-safe; test-only. *)
 
 val longest_free_run : t -> int
+(** Length of the group's longest run of free blocks, from the run
+    summary. *)
 
 val free_run_histogram : t -> max:int -> int array
 (** [free_run_histogram t ~max] counts maximal free block runs by length;
@@ -142,8 +146,8 @@ val free_run_histogram : t -> max:int -> int array
     runs. *)
 
 val extent_histogram : t -> (int * int) array
-(** Free extents by power-of-two length bucket, enumerated from the
-    extent index: [(bucket_min, count)] pairs (see
+(** Free extents by power-of-two length bucket, folded from the run
+    summary's per-length counts: [(bucket_min, count)] pairs (see
     {!Extent_index.histogram}). *)
 
 val alloc_inode : t -> int option
@@ -160,9 +164,11 @@ val add_dir : t -> unit
 val remove_dir : t -> unit
 
 val audit_index : t -> string list
-(** Compare the derived search structures — the extent index and the
-    cluster-run summary — against the bitmaps (ground truth). One
-    message per divergence; [[]] means consistent. Never raises; feeds
+(** Compare the derived extent index — hierarchies, max-run bytes and
+    the cluster-run summary — against the fragment bitmap (ground
+    truth), and the block bitmap against the index. One message per
+    divergence; [[]] means consistent. Reads only: the group, derived
+    state included, is left exactly as it was. Never raises; feeds
     [Check.run]'s index-consistency pass. *)
 
 val check_invariants : t -> unit
@@ -177,12 +183,13 @@ val check_invariants : t -> unit
 
 val reset : t -> unit
 (** Return the group to the everything-free state: bitmaps cleared,
-    run index whole, counters full, directory count zero. The rotor is
-    preserved (it is a search hint, not an invariant). *)
+    extent index back to one free run over the whole group, counters
+    full, directory count zero. The rotor is preserved (it is a search
+    hint, not an invariant). *)
 
 val mark_frags_used : t -> pos:int -> count:int -> unit
 (** Mark a fragment run allocated, keeping block bits, counters and the
-    run index in sync. The run must currently be free. *)
+    extent index in sync. The run must currently be free. *)
 
 val mark_inode_used : t -> int -> unit
 (** Mark one inode slot allocated. The slot must currently be free. *)
@@ -231,9 +238,9 @@ val corrupt_index_toggle_fit : t -> int -> len:int -> unit
 
     The group's canonical serialisation: the persisted bytes (the three
     bitmaps, raw) plus the counters and the rotor. Derived state — the
-    run summary and the extent index — is rebuilt from the bitmaps on
-    load, so the form is independent of query history and of the storage
-    backend. Checkpoints, aged images and digests all go through it. *)
+    extent index with its run summary — is rebuilt from the fragment
+    bitmap on load, so the form is independent of query history and of
+    the storage backend. Checkpoints, aged images and digests all go through it. *)
 
 type portable = {
   p_index : int;

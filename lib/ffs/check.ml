@@ -122,8 +122,8 @@ let run fs =
   Fs.iter_all_inodes fs (fun ino ->
       if not (Hashtbl.mem referenced ino.Inode.inum) then
         add (Orphan_inode { inum = ino.Inode.inum }));
-  (* 6: derived search structures — the extent index and the cluster-run
-     summary must agree with the bitmaps they summarise *)
+  (* 6: the derived extent index, cluster-run summary included, must
+     agree with the bitmaps it summarises *)
   Array.iteri
     (fun cg_index cg ->
       List.iter (fun what -> add (Index_mismatch { cg = cg_index; what }))
@@ -216,7 +216,7 @@ let repair_body fs =
         filter_array (fun e -> keep e.Inode.addr e.Inode.frags) ino.Inode.entries;
       ino.Inode.indirect_addrs <- filter_array (fun a -> keep a fpb) ino.Inode.indirect_addrs)
     (List.sort compare !inums);
-  (* pass 2: rebuild every group's bitmaps, counters and run index from
+  (* pass 2: rebuild every group's bitmaps, counters and extent index from
      the surviving claims, measuring the divergence being erased *)
   let leaked = ref 0 and missing = ref 0 in
   Array.iteri

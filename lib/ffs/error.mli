@@ -18,7 +18,9 @@ type t =
   | No_such_name of { dir : int; name : string }
   | No_such_inode of { inum : int }
   | Invalid_cg of { cg : int; ncg : int }
-  | Invalid_params of string  (** rejected by [Params.v]'s validation *)
+  | Invalid_params of string
+      (** rejected by [Params.v]'s validation, or a malformed
+          configuration string (such as a device fault spec) *)
   | Corrupt of string
       (** an internal cross-check found inconsistent on-image state *)
   | Io of { path : string; message : string }

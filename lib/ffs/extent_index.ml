@@ -101,14 +101,51 @@ module Hier = struct
     List.rev !bad
 end
 
+(* The derived free-space state of one group. Per block, the [maxrun]
+   byte is the ground the rest stands on: a block is entirely free iff
+   its byte equals [fpb]. Over it sit the free and fit hierarchies (the
+   successor queries) and the run summary, 4.4BSD's [cg_clustersum]:
+   [lengths] holds each maximal free run's length at its two endpoints
+   (interior slots are stale, never read), [counts.(len)] the number of
+   runs of exactly that length, and [longest_hint] an upper bound on the
+   longest one, settled lazily by {!longest}. *)
 type t = {
   nblocks : int;
   fpb : int;
   free : Hier.t;  (* bit set = block entirely free *)
-  used : Hier.t;  (* bit set = at least one fragment used *)
   maxrun : Bytes.t;  (* per block: longest in-block free-fragment run *)
   fit : Hier.t array;  (* fit.(l-1): partial blocks with a free run >= l *)
+  lengths : int array;  (* run length, valid at the endpoints of free runs *)
+  counts : int array;  (* counts.(len) = maximal free runs of that length *)
+  mutable longest_hint : int;  (* upper bound on the longest free run *)
 }
+
+let copy t =
+  {
+    t with
+    free = Hier.copy t.free;
+    maxrun = Bytes.copy t.maxrun;
+    fit = Array.map Hier.copy t.fit;
+    lengths = Array.copy t.lengths;
+    counts = Array.copy t.counts;
+  }
+
+(* everything free, unconditionally: one run covering the whole group *)
+let reset t =
+  Array.iter Hier.clear_all t.fit;
+  Bytes.fill t.maxrun 0 (Bytes.length t.maxrun) (Char.chr t.fpb);
+  Hier.clear_all t.free;
+  for b = 0 to t.nblocks - 1 do
+    Hier.set t.free b
+  done;
+  Array.fill t.lengths 0 (Array.length t.lengths) 0;
+  Array.fill t.counts 0 (Array.length t.counts) 0;
+  t.longest_hint <- t.nblocks;
+  if t.nblocks > 0 then begin
+    t.lengths.(0) <- t.nblocks;
+    t.lengths.(t.nblocks - 1) <- t.nblocks;
+    t.counts.(t.nblocks) <- 1
+  end
 
 let create ~nblocks ~fpb =
   assert (nblocks >= 0 && fpb >= 1 && fpb <= 8);
@@ -117,35 +154,87 @@ let create ~nblocks ~fpb =
       nblocks;
       fpb;
       free = Hier.create nblocks;
-      used = Hier.create nblocks;
-      maxrun = Bytes.make (max 1 nblocks) (Char.chr fpb);
+      maxrun = Bytes.create (max 1 nblocks);
       fit = Array.init (fpb - 1) (fun _ -> Hier.create nblocks);
+      lengths = Array.make (max 1 nblocks) 0;
+      counts = Array.make (nblocks + 1) 0;
+      longest_hint = nblocks;
     }
   in
-  for b = 0 to nblocks - 1 do
-    Hier.set t.free b
-  done;
+  reset t;
   t
 
-let copy t =
-  {
-    t with
-    free = Hier.copy t.free;
-    used = Hier.copy t.used;
-    maxrun = Bytes.copy t.maxrun;
-    fit = Array.map Hier.copy t.fit;
-  }
-
-let reset t =
-  Hier.clear_all t.used;
-  Array.iter Hier.clear_all t.fit;
-  Bytes.fill t.maxrun 0 (Bytes.length t.maxrun) (Char.chr t.fpb);
-  Hier.clear_all t.free;
-  for b = 0 to t.nblocks - 1 do
-    Hier.set t.free b
-  done
-
 let block_maxrun t b = Char.code (Bytes.get t.maxrun b)
+
+(* neighbour freeness from the maxrun byte: no division, unlike a
+   hierarchy probe; callers keep [b] in range *)
+let is_free t b = Char.code (Bytes.unsafe_get t.maxrun b) = t.fpb
+
+(* --- the run summary ------------------------------------------------------ *)
+
+(* First block of the maximal free run containing free block [i]. Steps
+   outward from [i] in both directions at once ([d] blocks so far) and
+   stops at whichever run end it meets first; an end's [lengths] entry
+   then gives the start. A block at either end of its run therefore
+   costs two probes, and one strictly inside costs twice its distance
+   to the nearer end. Never reads [i]'s own byte, so {!update} may call
+   it before or after rewriting it. Top level, so a call allocates no
+   closure. *)
+let rec run_start_from t i d =
+  let j = i - d and k = i + d in
+  if j = 0 || not (is_free t (j - 1)) then j
+  else if k = t.nblocks - 1 || not (is_free t (k + 1)) then k - t.lengths.(k) + 1
+  else run_start_from t i (d + 1)
+
+let run_start t i = run_start_from t i 0
+
+let run_end t b =
+  assert (block_maxrun t b = t.fpb);
+  let s = run_start t b in
+  s + t.lengths.(s) - 1
+
+let record_run t ~s ~e =
+  let len = e - s + 1 in
+  if len > 0 then begin
+    t.counts.(len) <- t.counts.(len) + 1;
+    t.lengths.(s) <- len;
+    t.lengths.(e) <- len;
+    if len > t.longest_hint then t.longest_hint <- len
+  end
+
+let forget_run_of_length t len =
+  assert (t.counts.(len) > 0);
+  t.counts.(len) <- t.counts.(len) - 1
+
+(* free block [b] becomes used: split its run around it *)
+let split_run t b =
+  let s = run_start t b in
+  let len = t.lengths.(s) in
+  let e = s + len - 1 in
+  assert (b <= e && t.lengths.(e) = len);
+  forget_run_of_length t len;
+  record_run t ~s ~e:(b - 1);
+  record_run t ~s:(b + 1) ~e
+
+(* used block [b] becomes free: merge it with the runs on either side *)
+let merge_runs t b =
+  let left = if b > 0 && is_free t (b - 1) then t.lengths.(b - 1) else 0 in
+  let right = if b < t.nblocks - 1 && is_free t (b + 1) then t.lengths.(b + 1) else 0 in
+  if left > 0 then forget_run_of_length t left;
+  if right > 0 then forget_run_of_length t right;
+  record_run t ~s:(b - left) ~e:(b + right)
+
+let longest t =
+  let rec settle len =
+    if len <= 0 then 0 else if t.counts.(len) > 0 then len else settle (len - 1)
+  in
+  let l = settle t.longest_hint in
+  t.longest_hint <- l;
+  l
+
+let count_of_length t len = if len >= 0 && len <= t.nblocks then t.counts.(len) else 0
+
+(* --- upkeep ---------------------------------------------------------------- *)
 
 (* a block is in fit bucket l iff it is partial with maxrun >= l; a
    wholly free block (maxrun = fpb) belongs to no bucket *)
@@ -156,15 +245,15 @@ let update t b ~maxrun =
   let old = block_maxrun t b in
   if maxrun <> old then begin
     Bytes.set t.maxrun b (Char.chr maxrun);
-    let was_free = old = t.fpb and is_free = maxrun = t.fpb in
-    if was_free <> is_free then
-      if is_free then begin
+    let was_free = old = t.fpb and now_free = maxrun = t.fpb in
+    if was_free <> now_free then
+      if now_free then begin
         Hier.set t.free b;
-        Hier.clear t.used b
+        merge_runs t b
       end
       else begin
         Hier.clear t.free b;
-        Hier.set t.used b
+        split_run t b
       end;
     let d_old = fit_degree t old and d_new = fit_degree t maxrun in
     for l = d_new + 1 to d_old do
@@ -176,37 +265,41 @@ let update t b ~maxrun =
   end
 
 let succ_free t ~start = Hier.succ t.free start
-let succ_used t ~start = Hier.succ t.used start
 
 let succ_fit t ~count ~start =
   assert (count >= 1 && count < t.fpb);
   Hier.succ t.fit.(count - 1) start
 
-let iter_free_extents t f =
-  let rec go pos =
-    match succ_free t ~start:pos with
-    | None -> ()
-    | Some s ->
-        let e = match succ_used t ~start:s with Some u -> u - 1 | None -> t.nblocks - 1 in
-        f ~pos:s ~len:(e - s + 1);
-        go (e + 1)
-  in
-  go 0
+(* --- histograms, folded from the run counts ------------------------------- *)
+
+let run_histogram t ~max =
+  assert (max >= 1);
+  let out = Array.make max 0 in
+  for len = 1 to t.nblocks do
+    if t.counts.(len) > 0 then begin
+      let slot = min len max - 1 in
+      out.(slot) <- out.(slot) + t.counts.(len)
+    end
+  done;
+  out
 
 let histogram t =
   let nbuckets =
     let rec go i = if 1 lsl i > max 1 t.nblocks then i else go (i + 1) in
     go 1
   in
-  let counts = Array.make nbuckets 0 in
+  let out = Array.make nbuckets 0 in
   let bucket_of len =
     let rec go i = if 1 lsl (i + 1) > len then i else go (i + 1) in
     go 0
   in
-  iter_free_extents t (fun ~pos:_ ~len ->
+  for len = 1 to t.nblocks do
+    if t.counts.(len) > 0 then begin
       let i = min (bucket_of len) (nbuckets - 1) in
-      counts.(i) <- counts.(i) + 1);
-  Array.mapi (fun i c -> (1 lsl i, c)) counts
+      out.(i) <- out.(i) + t.counts.(len)
+    end
+  done;
+  Array.mapi (fun i c -> (1 lsl i, c)) out
 
 (* --- consistency ---------------------------------------------------------- *)
 
@@ -231,9 +324,6 @@ let audit t ~frag_free =
     if Hier.mem t.free b <> is_free then
       complain "block %d: free hierarchy says %b, bitmap says %b" b (Hier.mem t.free b)
         is_free;
-    if Hier.mem t.used b <> not is_free then
-      complain "block %d: used hierarchy says %b, bitmap says %b" b (Hier.mem t.used b)
-        (not is_free);
     let d = fit_degree t truth in
     for l = 1 to t.fpb - 1 do
       let want = l <= d in
@@ -243,9 +333,33 @@ let audit t ~frag_free =
           want
     done
   done;
+  (* the run summary against the maxrun bytes it is kept from (held to
+     the bitmap just above, so one divergence is reported once); the
+     longest-run hint is read, never settled, so an audit leaves the
+     index exactly as it found it *)
+  let recount = Array.make (t.nblocks + 1) 0 and run = ref 0 and longest = ref 0 in
+  for b = 0 to t.nblocks do
+    if b < t.nblocks && is_free t b then incr run
+    else if !run > 0 then begin
+      let len = !run and s = b - !run in
+      recount.(len) <- recount.(len) + 1;
+      longest := max !longest len;
+      if t.lengths.(s) <> len || t.lengths.(b - 1) <> len then
+        complain "free run [%d,%d]: endpoint lengths %d/%d, run has %d" s (b - 1)
+          t.lengths.(s) t.lengths.(b - 1) len;
+      run := 0
+    end
+  done;
+  Array.iteri
+    (fun len c ->
+      if c <> t.counts.(len) then
+        complain "run summary: %d runs of length %d, recount says %d" t.counts.(len) len c)
+    recount;
+  if t.longest_hint < !longest then
+    complain "run summary: longest-run hint %d is below the longest run %d" t.longest_hint
+      !longest;
   let summaries =
     Hier.audit t.free ~name:"free"
-    @ Hier.audit t.used ~name:"used"
     @ List.concat
         (List.mapi
            (fun i h -> Hier.audit h ~name:(Fmt.str "fit[%d]" (i + 1)))

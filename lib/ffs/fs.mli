@@ -272,7 +272,7 @@ val forget_inode : t -> int -> (unit, Error.t) result
 val forget_inode_exn : t -> int -> unit
 
 val rebuild_allocation : t -> unit
-(** Rebuild every cylinder group's bitmaps, counters, run index, inode
+(** Rebuild every cylinder group's bitmaps, counters, extent index, inode
     map and directory count from the inode and directory tables — the
     authoritative-claims half of fsck. Requires the surviving claims to
     be disjoint and in range (the repair pass prunes them first). *)

@@ -79,32 +79,40 @@ module Device = struct
 
   let pp ppf p = Fmt.string ppf (to_string p)
 
+  (* each [key=value] part is applied and range-checked in turn, so an
+     error names the part that broke the plan *)
   let of_string s =
-    if s = "none" then Some none
-    else begin
-      let field p part =
+    let field p part =
+      let set =
         match String.index_opt part '=' with
         | None -> None
         | Some i -> (
-            let k = String.sub part 0 i in
             let v = String.sub part (i + 1) (String.length part - i - 1) in
-            match k with
+            let int f = Option.map f (int_of_string_opt v) in
+            match String.sub part 0 i with
             | "transient" ->
                 Option.map (fun f -> { p with transient = f }) (float_of_string_opt v)
-            | "latent" -> Option.map (fun n -> { p with latent = n }) (int_of_string_opt v)
-            | "bitrot" -> Option.map (fun n -> { p with bitrot = n }) (int_of_string_opt v)
-            | "torn" -> Option.map (fun n -> { p with torn = n }) (int_of_string_opt v)
-            | "horizon" -> Option.map (fun n -> { p with horizon = n }) (int_of_string_opt v)
+            | "latent" -> int (fun n -> { p with latent = n })
+            | "bitrot" -> int (fun n -> { p with bitrot = n })
+            | "torn" -> int (fun n -> { p with torn = n })
+            | "horizon" -> int (fun n -> { p with horizon = n })
             | _ -> None)
       in
-      let rec go p = function
-        | [] -> Some p
-        | part :: rest -> ( match field p part with None -> None | Some p -> go p rest)
-      in
-      match go none (String.split_on_char ',' s) with
-      | Some p when valid p -> Some p
-      | _ -> None
-    end
+      match set with
+      | Some p when valid p -> Ok p
+      | Some _ | None ->
+          Error
+            (Error.Invalid_params
+               (Fmt.str
+                  "device fault spec part %S: expected transient=P (0 <= P < 1), \
+                   latent=N, bitrot=N, torn=N (N >= 0) or horizon=D (D >= 1)"
+                  part))
+    in
+    if s = "none" then Ok none
+    else
+      List.fold_left
+        (fun acc part -> Result.bind acc (fun p -> field p part))
+        (Ok none) (String.split_on_char ',' s)
 end
 
 exception Io_fault of { op : string; chunk : int; persistent : bool }

@@ -53,10 +53,12 @@ module Device : sig
   val none : plan
   val is_none : plan -> bool
 
-  val of_string : string -> plan option
+  val of_string : string -> (plan, Error.t) result
   (** Parse ["transient=0.01,latent=2,bitrot=4,torn=1,horizon=8"] (any
       subset of keys; missing keys default to {!none}'s values; ["none"]
-      is the empty plan). [None] on malformed or out-of-range input. *)
+      is the empty plan). Malformed or out-of-range input is
+      [Error (Invalid_params _)], naming the first offending
+      [key=value] part. *)
 
   val to_string : plan -> string
   val pp : Format.formatter -> plan -> unit

@@ -51,7 +51,7 @@ type config = {
           [Mmap_backend] keeps the fleet's images out of the OCaml heap).
           A volume whose spec carries a device-fault plan is wrapped in
           {!Ffs.Store.resilient_spec} around this base, seeded from its
-          own [fault_seed] ({!Fault.Device.seed_of}) *)
+          own [fault_seed] ({!Fault.Plan.device_seed}) *)
   scrub_every : int;
       (** days between {!Ffs.Check.scrub_exn} passes on volumes running
           with device faults (clamped to at least 1 there; fault-free

@@ -7,7 +7,9 @@
    The 60-day pins are the same figures the benchmark harness checks
    (image digest, CRC-32 of the [%h]-joined daily score series); the
    small crash/resume pin covers the crash, checkpoint and resume paths
-   of the replay loop. *)
+   of the replay loop. Each image also pins its free-space summary:
+   [Fs.digest] hashes only the bitmaps, so a fault in the derived run
+   summary that moves no placement would pass the digest pin alone. *)
 
 let check_string = Alcotest.(check string)
 
@@ -15,9 +17,25 @@ let series_crc a =
   Printf.sprintf "%08lx"
     (Util.Crc32.string (String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") a))))
 
-let check_image label ~digest ~scores (r : Aging.Replay.result) =
+(* CRC-32 of every group's free-space summary, in group order: the
+   longest free run, the per-length run counts and the power-of-two
+   extent buckets, one line per group *)
+let freespace_crc fs =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun cg ->
+      Printf.bprintf b "%d:%d;" (Ffs.Cg.index cg) (Ffs.Cg.longest_free_run cg);
+      Array.iter (Printf.bprintf b "%d,")
+        (Ffs.Cg.free_run_histogram cg ~max:(Ffs.Cg.data_blocks cg));
+      Array.iter (fun (lo, n) -> Printf.bprintf b "%d=%d," lo n) (Ffs.Cg.extent_histogram cg);
+      Buffer.add_char b '\n')
+    (Ffs.Fs.cg_states fs);
+  Printf.sprintf "%08lx" (Util.Crc32.string (Buffer.contents b))
+
+let check_image label ~digest ~scores ~freespace (r : Aging.Replay.result) =
   check_string (label ^ " image digest") digest (Ffs.Fs.digest r.Aging.Replay.fs);
-  check_string (label ^ " score CRC") scores (series_crc r.Aging.Replay.daily_scores)
+  check_string (label ^ " score CRC") scores (series_crc r.Aging.Replay.daily_scores);
+  check_string (label ^ " free-space CRC") freespace (freespace_crc r.Aging.Replay.fs)
 
 (* --- the paper pipeline at 60 days ------------------------------------------- *)
 
@@ -26,9 +44,14 @@ let test_paper_60d () =
     Par.Pool.with_pool ~jobs:1 (fun pool ->
         Benchlib.Experiments.build ~params:Ffs.Params.paper_fs ~days:60 ~seed:960117 ~pool ())
   in
+  check_image "gt/ffs" ~digest:"57596ca66bf7ffd111ca14f0e67d2d56" ~scores:"1a0e3ccf"
+    ~freespace:"0b7eba55"
+    (Benchlib.Experiments.aged_ground_truth ctx);
   check_image "recon/ffs" ~digest:"1c0f44c206431edc888a0273a403393f" ~scores:"c459847b"
+    ~freespace:"08942fb9"
     (Benchlib.Experiments.aged_traditional ctx);
   check_image "recon/realloc" ~digest:"e1edcba87e61afc28299f49d2606319f" ~scores:"013d4981"
+    ~freespace:"12a5bbe5"
     (Benchlib.Experiments.aged_realloc ctx)
 
 (* --- crash, checkpoint and resume on the small geometry ----------------------- *)
@@ -63,7 +86,7 @@ let test_crash_resume () =
       | `Interrupted _ -> Alcotest.fail "run stopped without a stop request"
       | `Completed cr ->
           check_image label ~digest:"79d2488f9c63f628d6868c7336d0ad24" ~scores:"c181803e"
-            cr.Aging.Replay.result;
+            ~freespace:"676f9a1d" cr.Aging.Replay.result;
           Alcotest.(check (list int))
             (label ^ " crash points") [ 314; 495; 1056 ]
             (List.map (fun r -> r.Aging.Replay.after_op) cr.Aging.Replay.recoveries))

@@ -21,63 +21,71 @@ let build_ops ?(params = small) ~days ~seed () =
 (* Device-fault plan specs                                             *)
 (* ------------------------------------------------------------------ *)
 
+let parse_ok s =
+  match Ffs.Store.Device.of_string s with
+  | Ok p -> p
+  | Error e -> Alcotest.failf "%S did not parse: %a" s Ffs.Error.pp e
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let test_device_spec_parse () =
-  (match Ffs.Store.Device.of_string "none" with
-  | Some p -> check_bool "none parses to the empty plan" true (Ffs.Store.Device.is_none p)
-  | None -> Alcotest.fail "\"none\" did not parse");
-  (match Ffs.Store.Device.of_string "transient=0.01,latent=2,bitrot=4,torn=1,horizon=8" with
-  | Some p ->
-      Alcotest.(check (float 1e-9)) "transient" 0.01 p.Ffs.Store.Device.transient;
-      check_int "latent" 2 p.Ffs.Store.Device.latent;
-      check_int "bitrot" 4 p.Ffs.Store.Device.bitrot;
-      check_int "torn" 1 p.Ffs.Store.Device.torn;
-      check_int "horizon" 8 p.Ffs.Store.Device.horizon
-  | None -> Alcotest.fail "full spec did not parse");
+  check_bool "none parses to the empty plan" true (Ffs.Store.Device.is_none (parse_ok "none"));
+  let p = parse_ok "transient=0.01,latent=2,bitrot=4,torn=1,horizon=8" in
+  Alcotest.(check (float 1e-9)) "transient" 0.01 p.Ffs.Store.Device.transient;
+  check_int "latent" 2 p.Ffs.Store.Device.latent;
+  check_int "bitrot" 4 p.Ffs.Store.Device.bitrot;
+  check_int "torn" 1 p.Ffs.Store.Device.torn;
+  check_int "horizon" 8 p.Ffs.Store.Device.horizon;
   (* missing keys default to the empty plan's values *)
-  (match Ffs.Store.Device.of_string "bitrot=3" with
-  | Some p ->
-      check_int "defaulted latent" 0 p.Ffs.Store.Device.latent;
-      check_int "subset bitrot" 3 p.Ffs.Store.Device.bitrot
-  | None -> Alcotest.fail "subset spec did not parse");
+  let p = parse_ok "bitrot=3" in
+  check_int "defaulted latent" 0 p.Ffs.Store.Device.latent;
+  check_int "subset bitrot" 3 p.Ffs.Store.Device.bitrot;
+  (* a malformed spec is a typed error naming the offending part *)
   List.iter
-    (fun s ->
-      check_bool (Printf.sprintf "%S is rejected" s) true
-        (Ffs.Store.Device.of_string s = None))
+    (fun (s, part) ->
+      match Ffs.Store.Device.of_string s with
+      | Ok _ -> Alcotest.failf "%S was accepted" s
+      | Error (Ffs.Error.Invalid_params msg) ->
+          check_bool
+            (Printf.sprintf "%S: message %S names %S" s msg part)
+            true
+            (contains msg (Printf.sprintf "%S" part))
+      | Error e -> Alcotest.failf "%S: expected Invalid_params, got %a" s Ffs.Error.pp e)
     [
-      "";
-      "bogus=1";
-      "latent=-1";
-      "transient=1.5" (* probability must stay below 1 *);
-      "horizon=0";
-      "latent=two";
-      "latent";
+      ("", "");
+      ("bogus=1", "bogus=1");
+      ("latent=-1", "latent=-1");
+      ("transient=1.5", "transient=1.5") (* probability must stay below 1 *);
+      ("horizon=0", "horizon=0");
+      ("latent=two", "latent=two");
+      ("latent", "latent");
+      ("latent=2,bitrot=x,torn=1", "bitrot=x");
+      ("transient=0.1,", "");
     ]
 
 let test_device_spec_round_trip () =
   List.iter
     (fun s ->
-      match Ffs.Store.Device.of_string s with
-      | None -> Alcotest.fail (Printf.sprintf "%S did not parse" s)
-      | Some p -> (
-          match Ffs.Store.Device.of_string (Ffs.Store.Device.to_string p) with
-          | None -> Alcotest.fail (Printf.sprintf "%S did not re-parse" s)
-          | Some p' ->
-              check_string
-                (Printf.sprintf "%S round-trips" s)
-                (Ffs.Store.Device.to_string p)
-                (Ffs.Store.Device.to_string p')))
+      let p = parse_ok s in
+      check_string
+        (Printf.sprintf "%S round-trips" s)
+        (Ffs.Store.Device.to_string p)
+        (Ffs.Store.Device.to_string (parse_ok (Ffs.Store.Device.to_string p))))
     [ "none"; "transient=0.25"; "latent=1,bitrot=2,torn=3,horizon=9" ]
 
 (* the two fault domains must draw from distinct children of the one
    --fault-seed, and each must be a pure function of it *)
 let test_fault_seed_split () =
   check_bool "logical and device seeds differ" true
-    (Fault.Plan.logical_seed ~fault_seed:42 <> Fault.Device.seed_of ~fault_seed:42);
+    (Fault.Plan.logical_seed ~fault_seed:42 <> Fault.Plan.device_seed ~fault_seed:42);
   check_int "device seed is deterministic"
-    (Fault.Device.seed_of ~fault_seed:42)
-    (Fault.Device.seed_of ~fault_seed:42);
+    (Fault.Plan.device_seed ~fault_seed:42)
+    (Fault.Plan.device_seed ~fault_seed:42);
   check_bool "different fault seeds give different device seeds" true
-    (Fault.Device.seed_of ~fault_seed:1 <> Fault.Device.seed_of ~fault_seed:2)
+    (Fault.Plan.device_seed ~fault_seed:1 <> Fault.Plan.device_seed ~fault_seed:2)
 
 (* ------------------------------------------------------------------ *)
 (* Passthrough: resilient with no plan is bit-identical to raw         *)
@@ -190,7 +198,7 @@ let test_retry_backoff_envelope () =
 let aged_faulty_fs ~plan ~days ~seed =
   let backend =
     Ffs.Store.resilient_spec ~faults:plan
-      ~seed:(Fault.Device.seed_of ~fault_seed:seed)
+      ~seed:(Fault.Plan.device_seed ~fault_seed:seed)
       Ffs.Store.Heap_backend
   in
   (run_small ~backend ~days ~seed).Aging.Replay.fs
@@ -254,7 +262,7 @@ let test_chaos_no_data_loss () =
   in
   let backend =
     Ffs.Store.resilient_spec ~faults:plan
-      ~seed:(Fault.Device.seed_of ~fault_seed:seed)
+      ~seed:(Fault.Plan.device_seed ~fault_seed:seed)
       Ffs.Store.Heap_backend
   in
   let ops = build_ops ~days ~seed () in
